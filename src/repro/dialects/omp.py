@@ -507,29 +507,12 @@ def _run_loop_nest(interp: Interpreter, op: Operation, env: dict):
         ubs = [
             ub + (1 if step > 0 else -1) for ub, step in zip(ubs, steps)
         ]
-    body = op.regions[0].block
-    if rank == 1:
-        lb, ub, step = lbs[0], ubs[0], steps[0]
-        if step > 0 and interp.vectorize:
-            from repro.ir.vectorize import (
-                try_vectorized_loop,
-                try_vectorized_reduction,
-            )
+    if interp.vectorize and all(step > 0 for step in steps):
+        from repro.ir.vectorize import run_vectorized
 
-            if try_vectorized_loop(interp, op, env, lb, ub, step):
-                return None
-            if try_vectorized_reduction(interp, op, env, lb, ub, step) is not None:
-                return None
-        iv = lb
-        while (step > 0 and iv < ub) or (step < 0 and iv > ub):
-            interp.run_block(body, env, [iv])
-            iv += step
-        return None
-    if all(step > 0 for step in steps) and interp.vectorize:
-        from repro.ir.vectorize import try_vectorized_loop_nest
-
-        if try_vectorized_loop_nest(interp, op, env, lbs, ubs, steps):
+        if run_vectorized(interp, op, env, list(zip(lbs, ubs, steps))) is not None:
             return None
+    body = op.regions[0].block
 
     def run_dim(dim: int, ivs: list) -> None:
         lb, ub, step = lbs[dim], ubs[dim], steps[dim]

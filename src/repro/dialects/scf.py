@@ -195,21 +195,11 @@ def _run_for(interp: Interpreter, op: Operation, env: dict):
     carried = list(values[3:])
     observer = interp.loop_observer
     if observer is not None:
-        observer(op, max(0, -(-(ub - lb) // step)) if step > 0 else 0)
+        observer(op, _observed_trips(lb, ub, step), 1)
     if interp.vectorize:
-        from repro.ir.vectorize import (
-            try_vectorized_loop,
-            try_vectorized_nest,
-            try_vectorized_reduction,
-        )
+        from repro.ir.vectorize import run_vectorized
 
-        if not carried and try_vectorized_loop(interp, op, env, lb, ub, step):
-            interp.set_results(op, env, [])
-            return None
-        if not carried and try_vectorized_nest(interp, op, env, lb, ub, step):
-            interp.set_results(op, env, [])
-            return None
-        finals = try_vectorized_reduction(interp, op, env, lb, ub, step)
+        finals = run_vectorized(interp, op, env, ((lb, ub, step),))
         if finals is not None:
             interp.set_results(op, env, finals)
             return None
@@ -269,8 +259,8 @@ def _run_condition(interp: Interpreter, op: Operation, env: dict):
 #
 # Structured control flow compiles to native Python loops/branches around
 # compiled block bodies.  Loop closures invoke ``interp.loop_observer``
-# (cycle accounting) and the vectorized fast paths exactly like the
-# scalar ``_run_for`` does, and keep step accounting identical: one step
+# (cycle accounting) and ``run_vectorized`` exactly like the scalar
+# ``_run_for`` does, and keep step accounting identical: one step
 # for the structured op plus the per-iteration body op count.
 
 from repro.ir.compile import CannotCompile, FnCompiler, compiled_for
@@ -290,7 +280,7 @@ def _observed_trips(lb, ub, step) -> int:
 @compiled_for("scf.for", counts_own_steps=True)
 def _emit_for(op: Operation, ctx: FnCompiler):
     from repro.ir.interpreter import InterpreterError
-    from repro.ir.vectorize import loop_vector_mode, try_vectorized_reduction
+    from repro.ir.vectorize import loop_vector_mode, run_vectorized
 
     body = _single_block(op, 0)
     last = body.ops[-1] if body.ops else None
@@ -307,53 +297,32 @@ def _emit_for(op: Operation, ctx: FnCompiler):
     yld_slots = tuple(ctx.slot_list(last.operands))
     body_run = ctx.compile_body(body.ops, allow_terminators=("scf.yield",))
 
-    mode, _ = loop_vector_mode(op)
-    if mode is not None:
+    # A loop with a vector plan tries it on every execution; a runtime
+    # decline (short trip count, NaN min/max fold, failed injectivity or
+    # monotone proof) is side-effect free, so the scalar walk below stays
+    # correct.
+    vectorizable = loop_vector_mode(op)[0] is not None
+    if vectorizable:
         ctx.needs_env = True
 
-    if not iter_slots:
-        if mode in ("elementwise", "scatter_store"):
-            # scatter_store may still decline at runtime (failed
-            # injectivity proof) — it returns False without side effects
-            # and the scalar loop below takes over, accounting normally.
-            from repro.ir.vectorize import try_vectorized_loop
-
-            fast_path = try_vectorized_loop
-        elif mode in (
-            "nest_elementwise",
-            "nest_reduction",
-            "nest_scatter",
-            "nest_segmented",
-        ):
-            # Perfect loop-nest chains and segmented (triangular / CSR)
-            # nests evaluate whole-space; a runtime decline (short trip
-            # count, NaN min/max fold, failed injectivity or monotone
-            # proof) is side-effect free, so the scalar nested walk below
-            # stays correct.
-            from repro.ir.vectorize import try_vectorized_nest
-
-            fast_path = try_vectorized_nest
-        elif mode == "memref_reduction":
-            def fast_path(interp, loop, env, lb, ub, step):
-                return (
-                    try_vectorized_reduction(interp, loop, env, lb, ub, step)
-                    is not None
-                )
-        else:
-            fast_path = None
-
-        def run(interp, frame):
-            interp.steps += 1
-            lb, ub, step = frame[lb_i], frame[ub_i], frame[st_i]
-            obs = interp.loop_observer
-            if obs is not None:
-                obs(op, _observed_trips(lb, ub, step))
-            if (
-                fast_path is not None
-                and interp.vectorize
-                and fast_path(interp, op, frame[0], lb, ub, step)
-            ):
-                return
+    if iter_slots:
+        def scalar_run(interp, frame, lb, ub, step):
+            carried = [frame[s] for s in iter_slots]
+            max_steps = interp.max_steps
+            iv = lb
+            while iv < ub:
+                frame[iv_slot] = iv
+                for slot, value in zip(arg_slots, carried):
+                    frame[slot] = value
+                body_run(interp, frame)
+                carried = [frame[s] for s in yld_slots]
+                if interp.steps > max_steps:
+                    raise InterpreterError("interpreter step limit exceeded")
+                iv += step
+            for slot, value in zip(res_slots, carried):
+                frame[slot] = value
+    else:
+        def scalar_run(interp, frame, lb, ub, step):
             max_steps = interp.max_steps
             iv = lb
             while iv < ub:
@@ -362,38 +331,20 @@ def _emit_for(op: Operation, ctx: FnCompiler):
                 if interp.steps > max_steps:
                     raise InterpreterError("interpreter step limit exceeded")
                 iv += step
-        return run
-
-    reducible = mode == "iter_reduction"
 
     def run(interp, frame):
         interp.steps += 1
         lb, ub, step = frame[lb_i], frame[ub_i], frame[st_i]
         obs = interp.loop_observer
         if obs is not None:
-            obs(op, _observed_trips(lb, ub, step))
-        if reducible and interp.vectorize:
-            finals = try_vectorized_reduction(
-                interp, op, frame[0], lb, ub, step
-            )
+            obs(op, _observed_trips(lb, ub, step), 1)
+        if vectorizable and interp.vectorize:
+            finals = run_vectorized(interp, op, frame[0], ((lb, ub, step),))
             if finals is not None:
                 for slot, value in zip(res_slots, finals):
                     frame[slot] = value
                 return
-        carried = [frame[s] for s in iter_slots]
-        max_steps = interp.max_steps
-        iv = lb
-        while iv < ub:
-            frame[iv_slot] = iv
-            for slot, value in zip(arg_slots, carried):
-                frame[slot] = value
-            body_run(interp, frame)
-            carried = [frame[s] for s in yld_slots]
-            if interp.steps > max_steps:
-                raise InterpreterError("interpreter step limit exceeded")
-            iv += step
-        for slot, value in zip(res_slots, carried):
-            frame[slot] = value
+        scalar_run(interp, frame, lb, ub, step)
     return run
 
 

@@ -33,7 +33,6 @@ interpreter — compilation is an optimization, never a semantics change.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.ir.core import Operation, SSAValue
@@ -414,44 +413,39 @@ class ModuleCompilation:
         return self.functions[name]
 
 
-#: Compiled artifacts keyed by (module identity, overridden op names).
-#: Strong module refs pin ids; a small LRU bound keeps long DSE sessions
-#: from accumulating. Modules are assumed not to be mutated between
-#: executions (the pipeline transforms before it ever executes) — call
-#: :func:`invalidate_compilation` if a transform must re-run afterwards.
-_MODULE_CACHE: "OrderedDict[tuple[int, frozenset[str]], ModuleCompilation]" = (
-    OrderedDict()
-)
-_MODULE_CACHE_CAP = 64
-
-
 def get_module_compilation(
     module: Operation, overridden: frozenset[str]
 ) -> ModuleCompilation:
-    key = (id(module), overridden)
-    cached = _MODULE_CACHE.get(key)
-    if cached is not None and cached.module is module:
-        _MODULE_CACHE.move_to_end(key)
-        return cached
-    compilation = ModuleCompilation(module, overridden)
-    _MODULE_CACHE[key] = compilation
-    while len(_MODULE_CACHE) > _MODULE_CACHE_CAP:
-        _MODULE_CACHE.popitem(last=False)
+    """The module's compilation for one set of overridden op names.
+
+    Compilations live in the module's ``analysis_cache`` (keyed by
+    ``overridden``, never pickled), so they die with the module.  Modules
+    are assumed not to be mutated between executions (the pipeline
+    transforms before it ever executes) — call
+    :func:`invalidate_compilation` if a transform must re-run afterwards.
+    """
+    cache = getattr(module, "analysis_cache", None)
+    if cache is None:
+        cache = module.analysis_cache = {}
+    compilation = cache.get(overridden)
+    if compilation is None:
+        compilation = cache[overridden] = ModuleCompilation(module, overridden)
     return compilation
 
 
 def invalidate_compilation(module: Operation) -> None:
-    """Drop cached artifacts for ``module`` (after in-place mutation).
+    """Drop cached artifacts for ``module`` (after in-place mutation):
+    the compilations and loop classifications held by its root.
 
     Called automatically by the pass manager and the rewrite driver;
     transforms mutating IR outside those paths must call it themselves
     before the module is executed again.
     """
-    for key in [k for k in _MODULE_CACHE if k[0] == id(module)]:
-        del _MODULE_CACHE[key]
-    from repro.ir.vectorize import invalidate_analysis
-
-    invalidate_analysis(module)
+    root = module
+    while root.parent_op is not None:
+        root = root.parent_op
+    root.analysis_cache = None
+    module.analysis_cache = None
 
 
 #: Terminators the compiler executes structurally (reading operand slots)

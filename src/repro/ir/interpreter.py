@@ -83,13 +83,12 @@ class Interpreter:
         self.compiled = compiled
         #: enable the NumPy whole-loop tier (both engines honour this)
         self.vectorize = vectorize
-        #: optional ``(loop_op, trips)`` callback fired once per ``scf.for``
-        #: execution — the cycle-accounting hook of the kernel runner.  A
-        #: batching observer may accept ``(loop_op, trips, count)``: the
-        #: vectorized nest fast path charges ``count`` identical inner-loop
-        #: executions in one call (two-argument observers get ``count``
-        #: separate calls instead).
-        self.loop_observer: Callable[[Operation, int], None] | None = None
+        #: optional ``(loop_op, trips, count)`` callback — the
+        #: cycle-accounting hook of the kernel runner — standing for
+        #: ``count`` executions of ``loop_op`` with ``trips`` iterations
+        #: each: the scalar walk fires it once per ``scf.for`` execution
+        #: with count 1, the vectorizer once per batch of identical ones.
+        self.loop_observer: Callable[[Operation, int, int], None] | None = None
         #: the FpgaExecutor driving this interpreter, if any — compiled
         #: device-op closures bind to it directly.
         self.host_executor = None

@@ -149,12 +149,14 @@ class PipelineStage:
 
 @dataclass
 class PassTrace:
-    """Record of one pass execution (timing + optional IR snapshots)."""
+    """Record of one pass execution (timing + optional IR snapshots and
+    the op count after the pass)."""
 
     pass_name: str
     duration_s: float
     ir_before: str | None = None
     ir_after: str | None = None
+    ops_after: int | None = None
 
 
 @dataclass
@@ -167,7 +169,7 @@ class Instrumentation:
     * ``snapshots`` — named whole-module IR prints per pipeline stage
       (only recorded when ``capture_ir`` is set);
     * ``pass_traces`` — per-pass wall-clock, with before/after IR when
-      ``capture_ir`` is set.
+      ``capture_ir`` is set, plus the module's op count after each pass.
     """
 
     capture_ir: bool = False
@@ -197,9 +199,10 @@ class Instrumentation:
         duration_s: float,
         ir_before: str | None = None,
         ir_after: str | None = None,
+        ops_after: int | None = None,
     ) -> None:
         self.pass_traces.append(
-            PassTrace(pass_name, duration_s, ir_before, ir_after)
+            PassTrace(pass_name, duration_s, ir_before, ir_after, ops_after)
         )
 
     def stage(self, name: str) -> str:
@@ -253,8 +256,13 @@ class PassManager:
                         f"verification failed after pass '{p.name}': {err}"
                     ) from err
             if instr is not None:
-                ir_after = print_op(module) if instr.capture_ir else None
-                instr.record_pass(p.name, duration, ir_before, ir_after)
+                ir_after = ops_after = None
+                if instr.capture_ir:
+                    ir_after = print_op(module)
+                    ops_after = sum(1 for _ in module.walk())
+                instr.record_pass(
+                    p.name, duration, ir_before, ir_after, ops_after
+                )
                 prev_ir = ir_after
         if self.passes:
             # the pipeline mutated the module in place: stale compiled

@@ -1,130 +1,92 @@
 """Vectorized loop execution for the interpreter.
 
-Interpreting multi-million-trip loops op-by-op in Python is prohibitively
-slow, so loops whose behaviour is provable are executed with NumPy over
-the whole iteration space at once.  Four loop shapes are recognised (the
-analysis is cached per loop op, so each loop is classified exactly once):
+Interpreting multi-million-trip loops op by op in Python is slow, so a
+loop whose behaviour is provable runs as NumPy over its whole iteration
+space.  :func:`classify` analyses a loop once (the result is cached on
+the IR root) into one :class:`LoopPlan` or a bail-out reason, and
+:func:`run_vectorized` is the single runtime entry point: it returns the
+loop's results, or None to let the scalar walk run.  A plan has three
+parts.
 
-**Elementwise loops** (no iter_args, no reduction):
+**Dims** — the iteration space, outermost first:
 
-* every memory subscript must be affine in the induction variable with a
-  non-zero stride (injective — no scatter collisions), or loop-invariant
-  for loads;
-* the body must be straight-line (no nested regions) and consist of
-  elementwise arith/math/memref ops;
-* :func:`repro.transforms.loop_analysis.loop_carried_dependences` must
-  find nothing.
+* the root loop's own dims: one for ``scf.for``, n for ``omp.loop_nest``;
+* a *perfect chain* of ``scf.for`` loops below the root (the form
+  ``lower-omp-to-hls`` emits for ``collapse(n)``), one dim per member.
+  Member bounds must not vary with a nest IV; the IV-independent body
+  ops they read form a per-level *prelude*, pre-evaluated (step-neutral)
+  only when the scalar walk would reach that level;
+* a re-stitched ``simdlen`` pair: the main/remainder loops
+  ``lower-omp-to-hls`` emits at unroll factor > 1, proven an F-fold
+  clone by :func:`_match_unroll_pair`, become one dim spanning
+  ``[main.lb, remainder.ub)`` run by the remainder body;
+* a *ragged* dim: an outer loop whose body is ``prologue / inner fold
+  loop / epilogue`` with inner bounds affine in the outer IV
+  (triangular ``j = k+1, n``) or loaded from an offset array (CSR row
+  loops).  The flat space comes from prefix sums of the per-row trip
+  counts; offset-array bounds are runtime-proved monotone non-decreasing.
 
-**Reduction loops over iter_args** — ``%acc`` carried through
-``scf.for ... iter_args`` whose yielded value is
-``combine(%acc, %expr)`` for an add/mul/min/max combiner, with ``%expr``
-elementwise and independent of the accumulator.  ``%expr`` is evaluated
-vectorized, then folded with a *sequential* NumPy reduction.
+**Accesses** — every subscript is affine in one IV, invariant, or a
+*gather*: loaded from an index array nothing in the loop stores to
+(``transforms.loop_analysis`` kind ``indirect``).  Gathers are safe for
+loads.  The body compiles once into a slot-frame program
+(:class:`_VectorProgram`) that evaluates every access over the space.
 
-**Reduction loops over memref accumulators** — the shape the round-robin
-reduction rewrite produces: ``P[idx] = combine(P[idx], %expr)`` where the
-load and store share *provably equal* subscript values (SSA-identical, or
-structurally equal chains — including two separate loads of the same
-index-array cell, the frontend's lowering of ``h(bins(i))``) and nothing
-else touches ``P``.  The subscript may be loop-invariant (a plain scalar
-reduction, rank-0 included), vary per iteration (the periodic
-``(i ...) mod N`` round-robin pattern), or be *indirect* — loaded from an
-index array — with arbitrary collisions: repeated-index combining uses
-``np.ufunc.at``, which applies updates strictly in iteration order, so a
-colliding histogram ``h(bins(i)) = h(bins(i)) + w(i)`` needs no
-injectivity proof and stays bit-exact in float32.
+**Effects** — what the body writes, each bit-identical to the scalar walk:
 
-**Scatter-store loops** — elementwise bodies whose store subscript is
-*indirect*: ``A[idx(i)] = %expr`` where ``idx`` is loaded from a memref
-nothing in the body stores to (``transforms.loop_analysis`` classifies
-the subscript ``indirect``).  Unlike the accumulator form, a plain
-scatter must not write one cell twice — whole-space NumPy fancy
-assignment does not promise scalar iteration order for duplicate indices
-— so the store is guarded by an **injectivity proof**, a small lattice
-evaluated per store subscript, strongest proof first:
+* *elementwise stores* with injective (affine) subscripts, applied in
+  place by the program.  A rank-1 loop must have no loop-carried
+  dependence (:func:`~repro.transforms.loop_analysis.loop_carried_dependences`)
+  and no two stores that could hit one cell in different iterations; a
+  nest must cover every dim and load no buffer it stores;
+* *ordered folds* ``cell = combine(cell, expr)`` (add/mul/min/max) along
+  the innermost dim, into ``scf.for`` iter_args or a memref cell (the
+  frontend's ``h(bins(i))`` histogram shape included: the load and store
+  subscripts need only be *provably equal*).  The kernel follows from
+  the plan: an ordered ``accumulate`` per row when the cell is invariant
+  along the fold dim, in-order ``ufunc.at`` when it varies, is indirect,
+  or the rows are ragged.  Both combine strictly in iteration order, so
+  float32 folds match the scalar walk bit for bit (no pairwise
+  ``np.sum``);
+* *deferred scatter stores* ``A[idx(i)] = expr`` through a gather
+  subscript.  Whole-space fancy assignment does not keep scalar order
+  for duplicate indices, so every store waits until each passes the
+  injectivity lattice, strongest proof first: ``affine`` (static, a
+  subscript dim ``a*iv + b`` with ``a != 0``), ``monotone`` (O(n)),
+  ``unique`` or a tuple-wise ``lexsort`` (O(n log n)).  A failed proof
+  has mutated nothing.
 
-1. ``affine``   — static: a subscript dimension ``a*iv + b`` with
-   ``a != 0`` never repeats (no runtime work; the pre-existing
-   elementwise path);
-2. ``monotone`` — runtime, O(n): the loaded index vector is strictly
-   increasing/decreasing, hence injective;
-3. ``unique``   — runtime, O(n log n): ``np.unique`` finds no duplicate;
-4. ``⊥``        — no proof: the loop logs a *reasoned* bail-out naming
-   the failed proof and re-runs on the scalar tier (the deferred-store
-   evaluation has mutated nothing at that point).
+**Runtime proofs and accounting.**  A NaN in a min/max fold, a failed
+injectivity or monotone proof, a non-positive inner step, and a min/max
+or scatter space too large for one pass all bail before any write, with
+a reason logged on this module's logger, and the scalar walk reruns the
+loop.  A space under ``_MIN_TRIPS`` iterations stays scalar (constant
+factors) unless the plan drops the floor: a rank-1 loop whose bounds are
+runtime data (a *span*, SGESL's hoisted ``j = k+1, n``) has none, so the
+tail of a triangular launch sweep never falls off the fast tier.
+Rank-n spaces over ``_MAX_NEST_ELEMS`` run one outer slice at a time.
+Step and loop-observer (cycle) accounting replay the scalar walk
+exactly; observer calls are batched by count, and modelled cycles are
+integer-valued floats, so the sums stay exact.
 
-One statically injective (affine) dimension proves the whole subscript
-tuple; otherwise any single indirect dimension passing the runtime proof
-does.  Store application is deferred until every store's proof succeeds.
-
-**Whole-space loop nests** — beyond the four rank-1 shapes, a rank-n
-``omp.loop_nest`` or a *perfect chain* of ``scf.for`` loops (the form
-``lower-omp-to-hls`` emits for ``collapse(n)``) collapses back into one
-NumPy evaluation over the full iteration space: ``nest_elementwise``
-when the stores affinely cover every dimension, ``nest_reduction``
-when the innermost dimension folds into a memref accumulator with an
-ordered per-cell accumulate, or ``nest_scatter`` when a store subscript
-inside the nest is *indirect* — the rank-1 injectivity-proof lattice is
-lifted to the whole flattened space (a tuple-wise ``lexsort`` duplicate
-check when several dimensions vary), with every store deferred until
-all proofs pass (see :func:`_nest_vector_plan`).  Step accounting and
-inner-loop cycle observers replay the scalar nested walk exactly, so
-every tier stays bit-identical in results *and* modelled numbers.  The
-plan also re-stitches the ``simdlen``-unrolled main/remainder loop
-pairs ``lower-omp-to-hls`` emits at factor > 1: when the main body is
-a proven structural F-fold clone of the remainder body, the pair
-collapses back into one dimension spanning ``[main.lb, remainder.ub)``
-and the remainder body drives the whole space (step/observer
-accounting still charges both loops exactly as the scalar walk would).
-
-**Segmented (triangular / CSR) nests** — ``nest_segmented`` covers the
-imperfect shapes whose inner trip count *varies* with the outer IV, the
-paper's two remaining scalar cliffs:
-
-* the *nest* flavour: an outer loop whose body is ``prologue /
-  inner reduction loop / epilogue`` where the inner bounds are affine
-  in the outer IV (triangular ``j = k+1, n``) or loaded from a
-  monotone offset array (CSR row loops — SpMV's
-  ``do jj = row_ptr(i), row_ptr(i+1)-1``).  The whole space is
-  flattened with prefix sums over the per-row trip counts; the inner
-  reduction folds per segment with an ordered ``accumulate`` (equal
-  rows) or in-order ``ufunc.at`` over segment ids (ragged rows), both
-  bit-exact in f32.  Offset-array bounds are runtime-proved
-  *monotone non-decreasing*; shuffled offsets log a reasoned bail.
-* the *span* flavour: a rank-1 elementwise loop whose bounds are
-  runtime data (loaded, like SGESL's ``j = k+1, n`` after hoisting) is
-  one runtime segment — it evaluates exactly like ``elementwise`` but
-  with **no minimum-trip-count floor**, so the triangular tail of a
-  launch sweep never falls off the fast tier.
-
-Per-segment observer counts are batched (one call per distinct trip
-count) and cycle sums stay exact because modelled cycles are
-integer-valued floats.
-
-Float32 ordering note: per-element semantics are identical to the scalar
-interpreter — NumPy applies the same operation per lane, and no
-reassociation occurs.  For ordered reductions (add, mul) the fast path
-uses ``ufunc.accumulate``/``ufunc.at``, which combine strictly in
-iteration order per accumulator cell, so float32 results are bit-identical
-to the scalar walk (pairwise-summation tricks like ``np.sum`` are *not*
-used).  min/max are combined with ``np.minimum``/``np.maximum``, which
-are order-insensitive for finite values; inputs containing NaN bail to
-the scalar path (Python ``min``/``max`` ignore a NaN rhs where NumPy
-propagates it), leaving only the sign of zero on min/max ties as a
-potential bit difference.  Integer reductions accumulate in int64 (the
-scalar engine is unbounded).
+Float32 note: NumPy applies the scalar interpreter's operation per lane
+with no reassociation.  min/max use ``np.minimum``/``np.maximum``, which
+are order-insensitive for finite values, leaving only the sign of zero
+on ties as a potential bit difference.  Integer folds accumulate in
+int64 (the scalar engine is unbounded).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Any
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.ir.core import (
     Block,
+    BlockArgument,
     Operation,
     OpResult,
     SSAValue,
@@ -198,48 +160,19 @@ def _trunc_divide(a, b):
 
 
 def _body_is_vectorizable(body: Block) -> bool:
-    for op in body.ops:
-        if op.regions:
-            return False
-        if op.name not in _SUPPORTED:
-            return False
-    return True
-
-
-def _is_gather_index(idx: SSAValue, iv: SSAValue, body: Block) -> bool:
-    """True when ``idx`` is an indirect subscript: the value of a load
-    from an index array that nothing in the body stores to, subscripted
-    affinely itself — SpMV's ``x(col_idx(jj))`` shape.  Safe for *loads*
-    only (a scatter through such an index could collide)."""
-    from repro.transforms.loop_analysis import classify_index, root_memref
-
-    if not isinstance(idx, OpResult):
-        return False
-    source = idx.op
-    if source.name != "memref.load" or source.parent is not body:
-        return False
-    root = root_memref(source.operands[0])
-    for op in body.ops:
-        if op.name == "memref.store" and root_memref(op.operands[1]) is root:
-            return False
-    return all(
-        classify_index(sub, iv, body).kind in ("affine", "invariant")
-        for sub in source.operands[1:]
-    )
+    return all(not op.regions and op.name in _SUPPORTED for op in body.ops)
 
 
 def _load_index_ok(idx: SSAValue, iv: SSAValue, body: Block) -> bool:
-    from repro.transforms.loop_analysis import classify_index
-
     # ``indirect`` covers the full gather chain (cast/addi/subi/muli
     # around a load from an un-stored index array) — SpMV's
     # ``x(col_idx(jj) - 1)`` wraps the loaded index in a Fortran 1-based
-    # adjustment, which ``_is_gather_index`` alone would reject.
-    if classify_index(idx, iv, body).kind in (
+    # adjustment.
+    from repro.transforms.loop_analysis import classify_index
+
+    return classify_index(idx, iv, body).kind in (
         "affine", "invariant", "indirect",
-    ):
-        return True
-    return _is_gather_index(idx, iv, body)
+    )
 
 
 def _stores_conflict(
@@ -280,407 +213,209 @@ def _stores_conflict(
     return False
 
 
-def _loop_is_vectorizable(loop: Operation) -> bool:
-    from repro.transforms.loop_analysis import (
-        classify_index,
-        loop_carried_dependences,
-        root_memref,
-        static_loop_step,
-    )
-
-    body = loop.regions[0].block
-    if len(body.args) != 1 or not _body_is_vectorizable(body):
-        return False
-    if loop_carried_dependences(loop):
-        return False
-    iv = body.args[0]
-    stores_by_root: dict[int, list[Operation]] = {}
-    for op in body.ops:
-        if op.name == "memref.store":
-            key = id(root_memref(op.operands[1]))
-            stores_by_root.setdefault(key, []).append(op)
-    # Dependence analysis only relates stores to loads; store/store
-    # overlap across iterations must be excluded separately.
-    step_const = static_loop_step(loop)
-    for stores in stores_by_root.values():
-        for i, first in enumerate(stores):
-            for other in stores[i + 1 :]:
-                if _stores_conflict(first, other, iv, body, step_const):
-                    return False
-    # All store subscripts must be injective: every dimension affine
-    # (non-zero stride) or loop-invariant, with at least one affine
-    # dimension — the 2-D array row/column stores of the gallery nests.
-    for op in body.ops:
-        if op.name == "memref.store":
-            if len(op.operands) == 2:
-                return False  # rank-0 store: same cell every iteration
-            affine_dims = 0
-            for idx in op.operands[2:]:
-                pattern = classify_index(idx, iv, body)
-                if pattern.kind == "affine" and pattern.parameter != 0:
-                    affine_dims += 1
-                elif pattern.kind != "invariant":
-                    return False
-            if affine_dims == 0:
-                return False  # same cell every iteration
-        elif op.name == "memref.load":
-            for idx in op.operands[1:]:
-                if not _load_index_ok(idx, iv, body):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# Reduction recognition
+# The plan
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _IterReduction:
-    """Per-iter_arg combiner plan: (combiner name, expr value, position)."""
+class _ChainLevel:
+    """One extra dim contributed by a perfect-chain member.
 
-    combiners: tuple[tuple[str, SSAValue, int], ...]
-    skip: frozenset[int]  # op ids excluded from elementwise evaluation
-
-
-@dataclass(frozen=True)
-class _MemrefReduction:
-    """``P[idx] = combine(P[idx], expr)`` accumulator plan."""
-
-    op_name: str
-    acc: SSAValue  # the memref operand of the accumulator load
-    indices: tuple[SSAValue, ...]
-    expr: SSAValue
-    skip: frozenset[int]  # ids of the load/combiner/store
-
-
-@dataclass(frozen=True)
-class _ScatterStore:
-    """Deferred-store plan for ``A[idx(i)] = expr`` scatter loops.
-
-    ``proof_dims`` holds, per store, the subscript dimensions whose
-    loaded index vector must pass the runtime injectivity proof — empty
-    when a statically injective (affine) dimension already proves the
-    tuple.
+    ``bounds`` is the ``(lb, exclusive ub, step)`` value triple of the
+    dim (for a stitched main/remainder pair: the main loop's lb, the
+    remainder's ub and step — together they span the original,
+    un-unrolled range).  ``stitch`` is None for a plain ``scf.for``
+    member, else ``(main_for, rem_for, main_opcount, rem_opcount)`` for
+    a proven ``simdlen`` pair whose step/observer accounting must charge
+    *both* loops like the scalar walk does.
     """
 
-    stores: tuple[Operation, ...]  # in body op order
-    proof_dims: tuple[tuple[int, ...], ...]
-    skip: frozenset[int]  # ids of the deferred stores
+    bounds: tuple[SSAValue, SSAValue, SSAValue]
+    stitch: tuple[Operation, Operation, int, int] | None = None
 
 
-def _analyze_scatter_store(
-    loop: Operation,
-) -> tuple[_ScatterStore | None, str | None]:
-    """Classify an indirect-store loop; ``(plan, None)`` on success,
-    ``(None, reason)`` when the body *looks* like a scatter but fails a
-    proof obligation (the reason becomes the logged bail-out), and
-    ``(None, None)`` when the shape is something else entirely."""
-    from repro.transforms.loop_analysis import classify_index, root_memref
+@dataclass(frozen=True)
+class _Fold:
+    """An ordered fold ``cell = combine(cell, expr)`` along the innermost
+    dim: into iter_arg ``position`` when ``acc`` is None, else into the
+    memref cell ``acc[cell]``.  ``ordered`` picks the kernel: one ordered
+    ``accumulate`` per row when the cell is invariant along the fold dim,
+    in-order ``ufunc.at`` otherwise.  ``skip`` holds the ids of the ops
+    (load/combiner/store) the vector program leaves to the fold."""
 
-    body = loop.regions[0].block
-    if len(body.args) != 1:
-        return None, None
-    iv = body.args[0]
-    for op in body.ops:
-        if op.regions or op.name not in _SUPPORTED:
-            return None, None
-    stores = [op for op in body.ops if op.name == "memref.store"]
-    loaded = {
-        id(root_memref(op.operands[0]))
-        for op in body.ops
-        if op.name == "memref.load"
-    }
-    store_roots: set[int] = set()
-    proof_dims: list[tuple[int, ...]] = []
-    has_indirect = False
-    for store in stores:
-        if len(store.operands) == 2:
-            return None, None  # rank-0 store: the reduction form's territory
-        root = id(root_memref(store.operands[1]))
-        if root in store_roots:
-            return None, (
-                "two scatter stores to one buffer cannot be ordered"
-            )
-        store_roots.add(root)
-        indirect: list[int] = []
-        statically_injective = False
-        for dim, idx in enumerate(store.operands[2:]):
-            pattern = classify_index(idx, iv, body)
-            if pattern.kind == "affine" and pattern.parameter != 0:
-                statically_injective = True
-            elif pattern.kind == "indirect":
-                indirect.append(dim)
-            elif pattern.kind != "invariant":
-                return None, (
-                    "store subscript is neither affine nor a gather from "
-                    "an un-stored index array"
-                )
-        if not indirect and not statically_injective:
-            return None, None  # invariant-only subscript: not a scatter
-        has_indirect = has_indirect or bool(indirect)
-        proof_dims.append(() if statically_injective else tuple(indirect))
-    if not has_indirect:
-        return None, None  # plain affine stores: the elementwise path's job
-    if loaded & store_roots:
-        return None, (
-            "a scattered-to buffer is also read in the body, so deferred "
-            "store application could reorder a read-after-write"
-        )
-    for op in body.ops:
-        if op.name == "memref.load":
-            for idx in op.operands[1:]:
-                if not _load_index_ok(idx, iv, body):
-                    return None, "load subscript is not affine/invariant/gather"
-    plan = _ScatterStore(
-        stores=tuple(stores),
-        proof_dims=tuple(proof_dims),
-        skip=frozenset(id(op) for op in stores),
-    )
-    return plan, None
+    op_name: str
+    expr: SSAValue
+    acc: SSAValue | None
+    cell: tuple[SSAValue, ...]
+    skip: frozenset[int]
+    ordered: bool = True
+    position: int = 0
 
 
-def _analyze_iter_reduction(loop: Operation) -> _IterReduction | None:
-    if loop.name != "scf.for":
-        return None
-    from repro.transforms.loop_analysis import classify_index
+@dataclass(frozen=True)
+class _Ragged:
+    """The ragged inner dim of a segmented nest.
 
-    body = loop.regions[0].block
-    if len(body.args) < 2:
-        return None
-    last = body.ops[-1] if body.ops else None
-    if last is None or last.name != "scf.yield":
-        return None
-    if len(last.operands) != len(body.args) - 1:
-        return None
-    iv = body.args[0]
-    combiners: list[tuple[str, SSAValue, int]] = []
-    combiner_ids: set[int] = set()
-    for position, acc in enumerate(body.args[1:]):
-        if len(acc.uses) != 1:
-            return None
-        combiner = acc.uses[0].operation
-        if combiner.parent is not body or combiner.name not in _REDUCERS:
-            return None
-        if len(combiner.results) != 1 or len(combiner.operands) != 2:
-            return None
-        result = combiner.results[0]
-        if len(result.uses) != 1:
-            return None
-        yield_use = result.uses[0]
-        if yield_use.operation is not last or yield_use.index != position:
-            return None
-        lhs, rhs = combiner.operands
-        expr = rhs if lhs is acc else lhs if rhs is acc else None
-        if expr is None:
-            return None
-        combiners.append((combiner.name, expr, position))
-        combiner_ids.add(id(combiner))
-    for op in body.ops:
-        if id(op) in combiner_ids or op is last:
-            continue
-        if op.regions or op.name not in _SUPPORTED:
-            return None
-        if op.name == "memref.store":
-            return None
-        if op.name == "memref.load":
-            for idx in op.operands[1:]:
-                if not _load_index_ok(idx, iv, body):
-                    return None
-    return _IterReduction(tuple(combiners), frozenset(combiner_ids))
+    ``row_program`` evaluates the prologue over the outer IV vector (per
+    row inner bounds, the accumulator init, epilogue subscripts); the
+    plan's program evaluates the fold expression over the flat space;
+    ``epilogue_program`` then runs per row with the accumulator readback
+    preset to the folded values.  ``needs_monotone`` names the bounds
+    (``"lb"``/``"ub"``) loaded from an offset array.  ``shared`` is True
+    when the accumulator cell is invariant across rows (SpMV's scratch
+    cell: re-initialised by the prologue, read back by the epilogue);
+    False means one cell per row (``y(k) += ...``), written back per row.
+    """
+
+    loop: Operation  # the inner loop, observed once per row
+    bounds: tuple[SSAValue, SSAValue, SSAValue]
+    needs_monotone: tuple[str, ...]
+    shared: bool
+    init_value: SSAValue | None  # prologue accumulator-init stored value
+    readback: Operation | None  # epilogue accumulator load (preset)
+    row_program: _VectorProgram
+    epilogue_program: _VectorProgram
 
 
-def _analyze_memref_reduction(loop: Operation) -> _MemrefReduction | None:
-    body = loop.regions[0].block
-    if len(body.args) != 1:
-        return None
-    return _analyze_memref_reduction_body(body, body.args[0])
+@dataclass(frozen=True)
+class LoopPlan:
+    """How one loop runs whole-space: dims, the access program, effects.
 
+    ``mode`` is the reported shape (see :func:`loop_vector_mode`).  Dims:
+    ``ivs`` holds one induction variable per dim, the first
+    ``root_dims`` of them the root loop's own; ``chain`` the perfect
+    chain levels below it; ``ragged`` the segmented inner dim.  Effects:
+    ``folds``; ``deferred`` scatter stores with, per store, the
+    subscript dims whose values must pass the runtime injectivity proof
+    as a tuple (``proof_dims``, empty when statically injective).
 
-def _analyze_memref_reduction_body(
-    body: Block, iv: SSAValue
-) -> _MemrefReduction | None:
-    """The ``P[idx] = combine(P[idx], expr)`` accumulator shape in
-    ``body``, reduced along ``iv`` — shared between rank-1 loops (``iv``
-    is the loop IV) and rank-n nests (``iv`` is the innermost dim)."""
-    from repro.transforms.loop_analysis import (
-        classify_index,
-        index_values_equal,
-        root_memref,
-    )
+    Accounting replays the scalar walk: each ``(dims, ops)`` in
+    ``charge_specs`` charges ``ops`` steps per execution of the depth
+    ``dims`` body; ``observer_specs`` fire the loop observer for each
+    chain member as often as the scalar walk would (stitched levels
+    charge and observe through their stitch info); ``prelude`` holds
+    one tuple of bound-feeding ops per chain level.  ``floor`` is the
+    minimum trip count worth vectorizing.
+    """
 
-    for op in body.ops:
-        if op.regions or op.name not in _SUPPORTED:
-            return None
-    stores = [op for op in body.ops if op.name == "memref.store"]
-    if len(stores) != 1:
-        return None
-    store = stores[0]
-    stored = store.operands[0]
-    if not isinstance(stored, OpResult):
-        return None
-    combiner = stored.op
-    if combiner.parent is not body or combiner.name not in _REDUCERS:
-        return None
-    if len(stored.uses) != 1:  # combiner feeds the store and nothing else
-        return None
-    acc_root = root_memref(store.operands[1])
-    load = None
-    expr = None
-    for candidate, other in (
-        (combiner.operands[0], combiner.operands[1]),
-        (combiner.operands[1], combiner.operands[0]),
-    ):
-        if not isinstance(candidate, OpResult):
-            continue
-        source = candidate.op
-        if (
-            source.name == "memref.load"
-            and source.parent is body
-            and root_memref(source.operands[0]) is acc_root
-            and len(candidate.uses) == 1
-            and len(source.operands) - 1 == len(store.operands) - 2
-            # Provably equal subscripts: SSA-identical, or structurally
-            # equal chains (two separate loads of the same index-array
-            # cell — the lowered ``h(bins(i)) = h(bins(i)) + ...``).
-            and all(
-                index_values_equal(a, b, body)
-                for a, b in zip(source.operands[1:], store.operands[2:])
-            )
-        ):
-            load, expr = source, other
-            break
-    if load is None:
-        return None
-    for op in body.ops:
-        if op is load:
-            continue
-        if op.name == "memref.load" and root_memref(op.operands[0]) is acc_root:
-            return None  # accumulator read outside the combiner chain
-        if op.name == "memref.load":
-            for idx in op.operands[1:]:
-                if not _load_index_ok(idx, iv, body):
-                    return None
-    return _MemrefReduction(
-        combiner.name,
-        load.operands[0],
-        tuple(load.operands[1:]),
-        expr,
-        frozenset({id(load), id(combiner), id(store)}),
-    )
+    mode: str
+    ivs: tuple[SSAValue, ...]
+    root_dims: int
+    program: _VectorProgram
+    charge_specs: tuple[tuple[int, int], ...]
+    chain: tuple[_ChainLevel, ...] = ()
+    ragged: _Ragged | None = None
+    folds: tuple[_Fold, ...] = ()
+    deferred: tuple[Operation, ...] = ()
+    proof_dims: tuple[tuple[int, ...], ...] = ()
+    observer_specs: tuple[tuple[int, Operation], ...] = ()
+    prelude: tuple[tuple[Operation, ...], ...] = ()
+    floor: int = _MIN_TRIPS
 
 
 # ---------------------------------------------------------------------------
-# Cached per-loop classification
+# Cached classification
 # ---------------------------------------------------------------------------
 #
 # The cache hangs off the *root* op of the module/function the loop
 # lives in (``Operation.analysis_cache``), so cached plans — which hold
 # strong references to body ops and, through ``.parent`` chains, the
-# whole module — live exactly as long as the module itself.  A process
-# that compiles and drops many programs (the ROADMAP's long-running
-# service model) leaks nothing: dropping the program drops the module
-# drops the cache.  Entries are keyed by ``id(loop)`` with the loop op
-# kept in the value, so an id recycled by the allocator can never alias
-# a stale entry.
+# whole module — live exactly as long as the module itself.  Entries are
+# keyed by ``id(loop)`` with the loop op kept in the value, so an id
+# recycled by the allocator can never alias a stale entry.
 
 
-def _cache_for(loop: Operation) -> dict[int, tuple]:
+def _cache_for(loop: Operation) -> dict:
+    # the root walk runs on every dispatch: plain attribute hops (op ->
+    # block -> region -> op) instead of the ``parent_op`` property
     root = loop
-    while root.parent_op is not None:
-        root = root.parent_op
+    block = loop.parent
+    while block is not None and block.parent is not None:
+        if block.parent.parent is None:
+            break
+        root = block.parent.parent
+        block = root.parent
     cache = getattr(root, "analysis_cache", None)
     if cache is None:
         cache = root.analysis_cache = {}
     return cache
 
 
-def _classify(loop: Operation) -> tuple:
-    key = id(loop)
-    _analysis_cache = _cache_for(loop)
-    cached = _analysis_cache.get(key)
-    if cached is not None and cached[0] is loop:
-        return cached
-    mode: str | None = None
-    plan: Any = None
-    program = None
-    bail_kind: str | None = None
-    bail_reason: str | None = None
-    if len(loop.regions) >= 1 and len(loop.regions[0].blocks) == 1:
-        body = loop.regions[0].blocks[0]
-        if len(body.args) == 1:
-            if _loop_is_vectorizable(loop):
-                from repro.transforms.loop_analysis import bound_is_runtime
+def classify(loop: Operation) -> LoopPlan | str:
+    """The loop's :class:`LoopPlan`, or the reason it has none (logged
+    at DEBUG as a ``scalar bail-out``).  Cached per loop op."""
+    cache = _cache_for(loop)
+    hit = cache.get(id(loop))
+    if hit is not None and hit[0] is loop:
+        return hit[1]
+    result = _analyze(loop)
+    cache[id(loop)] = (loop, result)
+    return result
 
-                if bound_is_runtime(loop.operands[0]) or bound_is_runtime(
-                    loop.operands[1]
-                ):
-                    # span flavour: a runtime-bounded elementwise loop is
-                    # one runtime segment — same evaluation, no static
-                    # minimum-trip-count floor (the triangular cliff)
-                    mode = "nest_segmented"
-                    plan = _SegmentedSpan()
-                else:
-                    mode = "elementwise"
-            else:
-                plan = _analyze_memref_reduction(loop)
-                if plan is not None:
-                    mode = "memref_reduction"
-                else:
-                    plan, bail_reason = _analyze_scatter_store(loop)
-                    if plan is not None:
-                        mode = "scatter_store"
-                    elif bail_reason is not None:
-                        bail_kind = "scatter-store"
-            if mode is None and bail_reason is None and any(
-                op.name == "scf.for" for op in body.ops
-            ):
-                # A perfectly nested loop chain: whole-space evaluation
-                # of the collapsed iteration space (rank-n nests that
-                # lower-omp-to-hls produced from collapse(n)).
-                mode, plan, program, bail_reason = _nest_vector_plan(loop)
-                if mode is None:
-                    # imperfect nests get a second chance as a segmented
-                    # (triangular / CSR) shape before bailing
-                    seg = _segmented_nest_plan(loop)
-                    if seg[0] is not None:
-                        mode, plan, program, bail_reason = seg
-                    elif seg[3] is not None:
-                        bail_kind = "segmented nest"
-                        bail_reason = seg[3]
-                    else:
-                        bail_kind = (
-                            f"rank-{_chain_depth(loop)} {loop.name} nest"
-                        )
-        else:
-            plan = _analyze_iter_reduction(loop)
-            if plan is not None:
-                mode = "iter_reduction"
-        if mode is not None and program is None:
-            # Rank-1 fast paths: the induction variable is the sole iv
-            # slot (iter_args feed skipped combiners, never the program).
-            program = _compile_vector_body(
-                list(body.ops),
-                plan.skip if plan is not None else frozenset(),
-                [body.args[0]],
-            )
-    cached = (loop, mode, plan, program)
-    if mode is None and logger.isEnabledFor(logging.DEBUG):
-        if bail_reason is not None:
-            logger.debug(
-                "scalar bail-out: %s loop not vectorized: %s",
-                bail_kind or loop.name,
-                bail_reason,
-            )
-        else:
-            logger.debug(
-                "scalar bail-out: %s loop (%d body ops) has no "
-                "elementwise/reduction/scatter classification",
-                loop.name,
-                len(loop.regions[0].blocks[0].ops) if loop.regions else 0,
-            )
-    _analysis_cache[key] = cached
-    return cached
+
+def loop_vector_mode(loop: Operation) -> tuple[str | None, LoopPlan | None]:
+    """``(mode, plan)`` for a classified loop, ``(None, None)`` when it
+    bails.  Modes: ``elementwise``, ``scatter_store``,
+    ``memref_reduction`` and ``iter_reduction`` for rank-1 loops;
+    ``nest_elementwise``, ``nest_reduction`` and ``nest_scatter`` for
+    rank-n nests; ``nest_segmented`` for ragged nests and runtime-bounded
+    rank-1 spans."""
+    plan = classify(loop)
+    if isinstance(plan, LoopPlan):
+        return plan.mode, plan
+    return None, None
+
+
+def invalidate_analysis(root: Operation) -> None:
+    """Drop cached loop classifications under ``root`` (after in-place
+    mutation; :func:`repro.ir.compile.invalidate_compilation` drops the
+    whole root cache, compilations included)."""
+    cache = _cache_for(root)
+    for op in root.walk():
+        cache.pop(id(op), None)
+
+
+def _bail(kind: str, reason: str, detail: str = "") -> str:
+    logger.debug(
+        "scalar bail-out: %s loop not vectorized: %s%s", kind, reason, detail
+    )
+    return reason
+
+
+def _analyze(loop: Operation) -> LoopPlan | str:
+    body = loop.regions[0].block
+    generic = (
+        f"no elementwise, reduction or scatter shape "
+        f"({len(body.ops)} body ops)"
+    )
+    if loop.name != "omp.loop_nest" and len(body.args) != 1:
+        folds = _iter_folds(loop)
+        if folds is None:
+            return _bail(loop.name, generic)
+        return _rank1_plan(loop, "iter_reduction", folds=folds)
+    walk = _walk_dims(loop)
+    if not isinstance(walk, str) and len(walk[0]) == 1:
+        effects = _rank1_effects(loop, body, body.args[0])
+        if isinstance(effects, dict):
+            return _rank1_plan(loop, **effects)
+        if effects is not None:
+            return _bail("scatter-store", effects)
+        return _bail(loop.name, generic)
+    plan = walk if isinstance(walk, str) else _nest_plan(walk)
+    if isinstance(plan, LoopPlan):
+        return plan
+    # imperfect nests get a second chance as a segmented (ragged) nest
+    segmented = _segmented_plan(loop) if len(body.args) == 1 else None
+    if isinstance(segmented, LoopPlan):
+        return segmented
+    detail = f"; as a segmented nest: {segmented}" if segmented else ""
+    return _bail(f"rank-{_chain_depth(loop)} {loop.name} nest", plan, detail)
+
+
+# ---------------------------------------------------------------------------
+# Dims: the perfect chain and stitched simdlen pairs
+# ---------------------------------------------------------------------------
 
 
 def _chain_depth(loop: Operation) -> int:
@@ -695,79 +430,89 @@ def _chain_depth(loop: Operation) -> int:
         body = nested[0].regions[0].block
 
 
-@dataclass(frozen=True)
-class _ChainLevel:
-    """One extra nest dimension contributed by a chain member.
-
-    ``bounds`` is the ``(lb, exclusive ub, step)`` value triple of the
-    *dimension* (for a stitched main/remainder pair: the main loop's lb,
-    the remainder's ub and step — together they span the original,
-    un-unrolled range).  ``stitch`` is None for a plain ``scf.for``
-    member, else ``(main_for, rem_for, main_opcount, rem_opcount)`` for
-    a proven ``simdlen`` main/remainder pair whose step/observer
-    accounting must charge *both* loops like the scalar walk does.
-    """
-
-    bounds: tuple[SSAValue, SSAValue, SSAValue]
-    stitch: tuple[Operation, Operation, int, int] | None = None
-
-
-@dataclass(frozen=True)
-class _NestScatter:
-    """Deferred-store plan for indirect subscripts inside a nest.
-
-    ``proof_dims`` holds, per store, the subscript dimensions whose
-    index vectors join the runtime injectivity proof over the flattened
-    space — empty when the subscript already covers every nest dim with
-    statically injective affine dimensions.  All stores (even purely
-    affine ones) are deferred so a failed proof leaves nothing mutated.
-    """
-
-    stores: tuple[Operation, ...]  # in program op order
-    proof_dims: tuple[tuple[int, ...], ...]
-    skip: frozenset[int]
-
-
-@dataclass(frozen=True)
-class _NestPlan:
-    """Whole-space plan for a rank-n loop nest.
-
-    A nest is either a rank-n ``omp.loop_nest`` (``root_dims == rank``)
-    or a *perfect chain* of ``scf.for`` loops rooted at one outer loop
-    (``root_dims == 1``); in both forms the chain may extend through
-    further perfectly nested ``scf.for`` members (``chain``), each
-    contributing one extra dimension whose bounds are loop-invariant —
-    including a ``simdlen``-unrolled main/remainder pair re-stitched
-    into a single dimension (see :class:`_ChainLevel`).
-
-    ``charge_specs`` reproduce the scalar walk's step accounting: each
-    ``(dims, ops)`` entry charges ``prod(trips[:dims]) * ops`` steps —
-    one step per op visit per execution of that block.  ``observer_specs``
-    fire the interpreter's loop observer for each chain member exactly as
-    often as the scalar walk would (cycle accounting); stitched levels
-    instead charge/observe through their ``_ChainLevel.stitch`` info.
-    ``prelude`` holds, per chain member, the IV-independent body ops its
-    bounds may depend on; each level is pre-evaluated (step-neutral)
-    only when its containing body would execute under the scalar walk,
-    so the iteration space can be sized before the vector program runs
-    without ever evaluating an expression the scalar tier would not
-    reach.
-    """
-
-    ivs: tuple[SSAValue, ...]  # one per dimension, outermost first
-    root_dims: int
-    chain: tuple[_ChainLevel, ...]  # levels below the root
-    charge_specs: tuple[tuple[int, int], ...]
-    observer_specs: tuple[tuple[int, Operation], ...]
-    prelude: tuple[tuple[Operation, ...], ...]  # one entry per chain member
-    reduction: _MemrefReduction | None  # innermost-dim reduction fold
-    scatter: _NestScatter | None = None  # deferred indirect stores
+def _walk_dims(loop: Operation):
+    """Walk the perfect chain below ``loop``.  Returns ``(ivs, root_dims,
+    chain, charge_specs, observer_specs, extras_by_level, innermost)`` —
+    ``extras_by_level`` holding each chain member's non-loop body ops —
+    or the reason the chain is not perfect."""
+    root_body = loop.regions[0].block
+    if loop.name == "omp.loop_nest":
+        ivs = list(root_body.args)
+    else:
+        ivs = [root_body.args[0]]
+    root_dims = len(ivs)
+    chain: list[_ChainLevel] = []
+    charge_specs: list[tuple[int, int]] = []
+    observer_specs: list[tuple[int, Operation]] = []
+    extras_by_level: list[list[Operation]] = []
+    body = root_body
+    while True:
+        charge_specs.append((len(ivs), max(1, len(body.ops))))
+        nested = [op for op in body.ops if op.name == "scf.for"]
+        if not nested:
+            break
+        stitch_factor = None
+        if len(nested) == 2:
+            stitch_factor = _match_unroll_pair(nested[0], nested[1])
+        if len(nested) > 1 and stitch_factor is None:
+            return "body contains multiple nested loops"
+        if stitch_factor is not None:
+            main_for, rem_for = nested
+            rem_body = rem_for.regions[0].block
+            if any(op.name == "scf.for" for op in rem_body.ops):
+                return "stitched main/remainder pair is not innermost"
+            level_loops = (main_for, rem_for)
+        else:
+            inner_for = nested[0]
+            if inner_for.results or len(inner_for.regions[0].blocks) != 1:
+                return "nested loop carries iter_args"
+            inner_body = inner_for.regions[0].block
+            if len(inner_body.args) != 1:
+                return "nested loop carries iter_args"
+            level_loops = (inner_for,)
+        level_extras: list[Operation] = []
+        for op in body.ops:
+            if op in level_loops:
+                continue
+            if op.regions or op.name not in _SUPPORTED:
+                return "body has nested regions or unsupported ops"
+            if op.name == "memref.store":
+                return "store outside the innermost loop body"
+            if op.name not in _SKIPPED:
+                level_extras.append(op)
+        extras_by_level.append(level_extras)
+        if stitch_factor is not None:
+            # The proven pair is semantically one loop over
+            # [main.lb, rem.ub, rem.step) running the remainder body;
+            # steps/cycles still charge both loops via the stitch info.
+            chain.append(_ChainLevel(
+                bounds=(
+                    main_for.operands[0],
+                    rem_for.operands[1],
+                    rem_for.operands[2],
+                ),
+                stitch=(
+                    main_for,
+                    rem_for,
+                    max(1, len(main_for.regions[0].block.ops)),
+                    max(1, len(rem_body.ops)),
+                ),
+            ))
+            ivs.append(rem_body.args[0])
+            body = rem_body
+            break
+        observer_specs.append((len(ivs), inner_for))
+        chain.append(_ChainLevel(bounds=tuple(inner_for.operands[:3])))
+        ivs.append(inner_body.args[0])
+        body = inner_body
+    return (
+        ivs, root_dims, chain, charge_specs, observer_specs,
+        extras_by_level, body,
+    )
 
 
 def _defined_outside(value: SSAValue, root_body: Block) -> bool:
     """True when ``value`` is defined outside the nest entirely."""
-    from repro.ir.core import BlockArgument
-
     if isinstance(value, BlockArgument):
         block = value.block
         while block is not None:
@@ -999,119 +744,270 @@ def _match_unroll_pair(main: Operation, rem: Operation) -> int | None:
     return factor
 
 
-def _nest_vector_plan(loop: Operation):
-    """Classify a loop nest for whole-space evaluation.
+# ---------------------------------------------------------------------------
+# Effects
+# ---------------------------------------------------------------------------
 
-    ``loop`` is a rank-n ``omp.loop_nest`` or an ``scf.for`` whose body
-    perfectly nests further loops.  Returns ``(mode, plan, program,
-    reason)`` where mode is ``"nest_elementwise"`` (dependence-free body,
-    stores cover every dimension), ``"nest_reduction"`` (the innermost
-    dimension folds into a memref accumulator whose subscripts are
-    invariant along it) or None with a reasoned bail-out diagnostic.
-    """
+
+def _rank1_plan(loop: Operation, mode: str, **fields) -> LoopPlan:
+    """A plan over the loop's own (single) dim: the induction variable is
+    the sole iv slot (iter_args feed skipped combiners, never the
+    program)."""
+    body = loop.regions[0].block
+    skip = frozenset(id(op) for op in fields.get("deferred", ()))
+    for fold in fields.get("folds", ()):
+        skip |= fold.skip
+    return LoopPlan(
+        mode=mode,
+        ivs=(body.args[0],),
+        root_dims=1,
+        program=_compile_vector_body(list(body.ops), skip, [body.args[0]]),
+        charge_specs=((1, max(1, len(body.ops))),),
+        **fields,
+    )
+
+
+def _rank1_effects(loop: Operation, body: Block, iv: SSAValue):
+    """Effects of a straight-line rank-1 body, tried in order: elementwise
+    stores, a memref fold, deferred scatter stores.  Returns the plan
+    fields, a reason when the body looks like a scatter but fails a
+    proof obligation, or None when it has no vector shape."""
+    from repro.transforms.loop_analysis import (
+        bound_is_runtime,
+        classify_index,
+        loop_carried_dependences,
+        root_memref,
+        static_loop_step,
+    )
+
+    if not _body_is_vectorizable(body):
+        return None
+    stores = [op for op in body.ops if op.name == "memref.store"]
+    loads = [op for op in body.ops if op.name == "memref.load"]
+    loads_ok = all(
+        _load_index_ok(idx, iv, body) for op in loads for idx in op.operands[1:]
+    )
+    kinds = [
+        [classify_index(idx, iv, body).kind for idx in op.operands[2:]]
+        for op in stores
+    ]
+    # Elementwise: every store subscript injective (an affine dim, the
+    # rest invariant), no loop-carried dependence, and no two stores to
+    # one buffer that could hit one cell in different iterations
+    # (dependence analysis only relates stores to loads).
+    if loads_ok and all(
+        "affine" in k and set(k) <= {"affine", "invariant"} for k in kinds
+    ):
+        by_root: dict[int, list[Operation]] = {}
+        for op in stores:
+            by_root.setdefault(id(root_memref(op.operands[1])), []).append(op)
+        step = static_loop_step(loop)
+        conflict = any(
+            _stores_conflict(first, other, iv, body, step)
+            for group in by_root.values()
+            for i, first in enumerate(group)
+            for other in group[i + 1 :]
+        )
+        if not conflict and not loop_carried_dependences(loop):
+            if bound_is_runtime(loop.operands[0]) or bound_is_runtime(
+                loop.operands[1]
+            ):
+                # a span: a runtime-bounded loop is one runtime segment —
+                # no static minimum-trip floor (the triangular cliff)
+                return {"mode": "nest_segmented", "floor": 0}
+            return {"mode": "elementwise"}
+    fold = _memref_fold(body, iv)
+    if fold is not None:
+        ordered = all(
+            classify_index(idx, iv, body).kind == "invariant"
+            for idx in fold.cell
+        )
+        return {
+            "mode": "memref_reduction",
+            "folds": (replace(fold, ordered=ordered),),
+        }
+    # Scatter: at least one gather store subscript, every store proved
+    # injective statically (an affine dim) or by the runtime proof over
+    # its gather dims.
+    store_roots: set[int] = set()
+    proof_dims: list[tuple[int, ...]] = []
+    for op, k in zip(stores, kinds):
+        if len(op.operands) == 2:
+            return None  # rank-0 store: the reduction form's territory
+        root = id(root_memref(op.operands[1]))
+        if root in store_roots:
+            return "two scatter stores to one buffer cannot be ordered"
+        store_roots.add(root)
+        if not set(k) <= {"affine", "indirect", "invariant"}:
+            return (
+                "store subscript is neither affine nor a gather from an "
+                "un-stored index array"
+            )
+        gathers = tuple(dim for dim, kind in enumerate(k) if kind == "indirect")
+        if not gathers and "affine" not in k:
+            return None  # invariant-only subscript: not a scatter
+        proof_dims.append(() if "affine" in k else gathers)
+    if not any("indirect" in k for k in kinds):
+        return None  # plain affine stores: the elementwise path's job
+    if {id(root_memref(op.operands[0])) for op in loads} & store_roots:
+        return (
+            "a scattered-to buffer is also read in the body, so deferred "
+            "store application could reorder a read-after-write"
+        )
+    if not loads_ok:
+        return "load subscript is not affine/invariant/gather"
+    return {
+        "mode": "scatter_store",
+        "deferred": tuple(stores),
+        "proof_dims": tuple(proof_dims),
+    }
+
+
+def _iter_folds(loop: Operation) -> tuple[_Fold, ...] | None:
+    """Folds into ``scf.for`` iter_args: each ``%acc`` feeds exactly one
+    ``combine(%acc, %expr)`` whose result is yielded in its position,
+    with ``%expr`` elementwise and independent of the accumulators."""
+    if loop.name != "scf.for":
+        return None
+    body = loop.regions[0].block
+    last = body.ops[-1] if body.ops else None
+    if last is None or last.name != "scf.yield":
+        return None
+    if len(last.operands) != len(body.args) - 1:
+        return None
+    iv = body.args[0]
+    combiners: list[tuple[str, SSAValue, int]] = []
+    combiner_ids: set[int] = set()
+    for position, acc in enumerate(body.args[1:]):
+        if len(acc.uses) != 1:
+            return None
+        combiner = acc.uses[0].operation
+        if combiner.parent is not body or combiner.name not in _REDUCERS:
+            return None
+        if len(combiner.results) != 1 or len(combiner.operands) != 2:
+            return None
+        result = combiner.results[0]
+        if len(result.uses) != 1:
+            return None
+        yield_use = result.uses[0]
+        if yield_use.operation is not last or yield_use.index != position:
+            return None
+        lhs, rhs = combiner.operands
+        expr = rhs if lhs is acc else lhs if rhs is acc else None
+        if expr is None:
+            return None
+        combiners.append((combiner.name, expr, position))
+        combiner_ids.add(id(combiner))
+    for op in body.ops:
+        if id(op) in combiner_ids or op is last:
+            continue
+        if op.regions or op.name not in _SUPPORTED:
+            return None
+        if op.name == "memref.store":
+            return None
+        if op.name == "memref.load":
+            for idx in op.operands[1:]:
+                if not _load_index_ok(idx, iv, body):
+                    return None
+    skip = frozenset(combiner_ids)
+    return tuple(
+        _Fold(name, expr, None, (), skip, position=position)
+        for name, expr, position in combiners
+    )
+
+
+def _memref_fold(body: Block, iv: SSAValue) -> _Fold | None:
+    """The ``P[idx] = combine(P[idx], expr)`` accumulator shape in
+    ``body``, folded along ``iv`` — the loop IV of a rank-1 loop, the
+    innermost dim of a nest, or the inner loop of a segmented nest."""
+    from repro.transforms.loop_analysis import index_values_equal, root_memref
+
+    if not _body_is_vectorizable(body):
+        return None
+    stores = [op for op in body.ops if op.name == "memref.store"]
+    if len(stores) != 1:
+        return None
+    store = stores[0]
+    stored = store.operands[0]
+    if not isinstance(stored, OpResult):
+        return None
+    combiner = stored.op
+    if combiner.parent is not body or combiner.name not in _REDUCERS:
+        return None
+    if len(stored.uses) != 1:  # combiner feeds the store and nothing else
+        return None
+    acc_root = root_memref(store.operands[1])
+    load = None
+    expr = None
+    for candidate, other in (
+        (combiner.operands[0], combiner.operands[1]),
+        (combiner.operands[1], combiner.operands[0]),
+    ):
+        if not isinstance(candidate, OpResult):
+            continue
+        source = candidate.op
+        if (
+            source.name == "memref.load"
+            and source.parent is body
+            and root_memref(source.operands[0]) is acc_root
+            and len(candidate.uses) == 1
+            and len(source.operands) - 1 == len(store.operands) - 2
+            # Provably equal subscripts: SSA-identical, or structurally
+            # equal chains (two separate loads of the same index-array
+            # cell — the lowered ``h(bins(i)) = h(bins(i)) + ...``).
+            and all(
+                index_values_equal(a, b, body)
+                for a, b in zip(source.operands[1:], store.operands[2:])
+            )
+        ):
+            load, expr = source, other
+            break
+    if load is None:
+        return None
+    for op in body.ops:
+        if op is load or op.name != "memref.load":
+            continue
+        if root_memref(op.operands[0]) is acc_root:
+            return None  # accumulator read outside the combiner chain
+        for idx in op.operands[1:]:
+            if not _load_index_ok(idx, iv, body):
+                return None
+    return _Fold(
+        combiner.name,
+        expr,
+        load.operands[0],
+        tuple(load.operands[1:]),
+        frozenset({id(load), id(combiner), id(store)}),
+    )
+
+
+def _nest_plan(walk) -> LoopPlan | str:
+    """Effects over a rank-n perfect chain: ``nest_reduction`` when the
+    innermost dim folds into a memref cell invariant along it and
+    covering every outer dim, else ``nest_elementwise`` (stores cover
+    every dim) or ``nest_scatter`` (gather store subscripts, deferred
+    behind the runtime injectivity proof); or a reason."""
     from repro.transforms.loop_analysis import classify_index, root_memref
 
-    root_body = loop.regions[0].block
-    if loop.name == "omp.loop_nest":
-        ivs = list(root_body.args)
-    else:
-        ivs = [root_body.args[0]]
-    root_dims = len(ivs)
-
-    # -- walk the perfect chain ------------------------------------------------
-    chain: list[_ChainLevel] = []
-    charge_specs: list[tuple[int, int]] = []
-    observer_specs: list[tuple[int, Operation]] = []
-    # non-loop body ops above the innermost, one entry per chain member
-    extras_by_level: list[list[Operation]] = []
-    body = root_body
-    innermost = None
-    while innermost is None:
-        nested = [op for op in body.ops if op.name == "scf.for"]
-        if not nested:
-            innermost = body
-            charge_specs.append((len(ivs), max(1, len(body.ops))))
-            break
-        stitch_factor = None
-        if len(nested) == 2:
-            stitch_factor = _match_unroll_pair(nested[0], nested[1])
-        if len(nested) > 1 and stitch_factor is None:
-            return None, None, None, "body contains multiple nested loops"
-        if stitch_factor is not None:
-            main_for, rem_for = nested
-            rem_body = rem_for.regions[0].block
-            if any(op.name == "scf.for" for op in rem_body.ops):
-                return None, None, None, (
-                    "stitched main/remainder pair is not innermost"
-                )
-            level_loops = (main_for, rem_for)
-        else:
-            inner_for = nested[0]
-            if inner_for.results or len(inner_for.regions[0].blocks) != 1:
-                return None, None, None, "nested loop carries iter_args"
-            inner_body = inner_for.regions[0].block
-            if len(inner_body.args) != 1:
-                return None, None, None, "nested loop carries iter_args"
-            level_loops = (inner_for,)
-        level_extras: list[Operation] = []
-        for op in body.ops:
-            if op in level_loops:
-                continue
-            if op.regions:
-                return None, None, None, "body has nested regions or unsupported ops"
-            if op.name not in _SUPPORTED:
-                return None, None, None, "body has nested regions or unsupported ops"
-            if op.name == "memref.store":
-                return None, None, None, "store outside the innermost loop body"
-            if op.name not in _SKIPPED:
-                level_extras.append(op)
-        extras_by_level.append(level_extras)
-        charge_specs.append((len(ivs), max(1, len(body.ops))))
-        if stitch_factor is not None:
-            # The proven pair is semantically one loop over
-            # [main.lb, rem.ub, rem.step) running the remainder body;
-            # steps/cycles still charge both loops via the stitch info.
-            chain.append(_ChainLevel(
-                bounds=(
-                    main_for.operands[0],
-                    rem_for.operands[1],
-                    rem_for.operands[2],
-                ),
-                stitch=(
-                    main_for,
-                    rem_for,
-                    max(1, len(main_for.regions[0].block.ops)),
-                    max(1, len(rem_body.ops)),
-                ),
-            ))
-            ivs.append(rem_body.args[0])
-            innermost = rem_body
-            break
-        observer_specs.append((len(ivs), inner_for))
-        chain.append(_ChainLevel(bounds=tuple(inner_for.operands[:3])))
-        ivs.append(inner_body.args[0])
-        body = inner_body
-
+    (ivs, root_dims, chain, charge_specs, observer_specs, extras_by_level,
+     innermost) = walk
     rank = len(ivs)
-    if rank < 2:
-        return None, None, None, "nest has a single dimension"
+    root_body = ivs[0].block
     if not _body_is_vectorizable(innermost):
-        return None, None, None, "body has nested regions or unsupported ops"
+        return "body has nested regions or unsupported ops"
 
     # -- collect memory accesses over the whole nest ---------------------------
     extra_ops = [op for level in extras_by_level for op in level]
+    program_ops = [*extra_ops, *innermost.ops]
     loaded: set[int] = set()
     store_counts: dict[int, int] = {}
-    stores = []
-    loads = []
-    for op in [*extra_ops, *innermost.ops]:
-        if op.name == "memref.store":
-            key = id(root_memref(op.operands[1]))
-            store_counts[key] = store_counts.get(key, 0) + 1
-            stores.append(op)
-        elif op.name == "memref.load":
-            loaded.add(id(root_memref(op.operands[0])))
-            loads.append(op)
+    stores = [op for op in program_ops if op.name == "memref.store"]
+    loads = [op for op in program_ops if op.name == "memref.load"]
+    for op in stores:
+        key = id(root_memref(op.operands[1]))
+        store_counts[key] = store_counts.get(key, 0) + 1
+    for op in loads:
+        loaded.add(id(root_memref(op.operands[0])))
 
     # -- chain-loop bounds must be invariant (IV-independent prelude) ----------
     # One prelude per chain level: a level's ops are only pre-evaluated
@@ -1145,7 +1041,7 @@ def _nest_vector_plan(loop: Operation):
             if not (
                 _defined_outside(bound, root_body) or bound in independent
             ):
-                return None, None, None, (
+                return (
                     "nested loop bounds vary with an outer induction "
                     "variable"
                 )
@@ -1165,224 +1061,112 @@ def _nest_vector_plan(loop: Operation):
                         return "load subscript is not affine/invariant/gather"
         return None
 
-    program_ops = [*extra_ops, *innermost.ops]
+    def plan(mode: str, skip: frozenset[int], **fields) -> LoopPlan:
+        return LoopPlan(
+            mode=mode,
+            ivs=tuple(ivs),
+            root_dims=root_dims,
+            program=_compile_vector_body(program_ops, skip, ivs),
+            charge_specs=tuple(charge_specs),
+            chain=tuple(chain),
+            observer_specs=tuple(observer_specs),
+            prelude=tuple(prelude_levels),
+            **fields,
+        )
 
-    # -- innermost-dim reduction: P[f(outer ivs)] = P[...] (+) expr ------------
-    reduction = _analyze_memref_reduction_body(innermost, ivs[-1])
-    if reduction is not None:
-        acc_root = root_memref(reduction.acc)
+    # -- innermost-dim fold: P[f(outer ivs)] = P[...] (+) expr -----------------
+    fold = _memref_fold(innermost, ivs[-1])
+    if fold is not None:
         covered: set[int] = set()
-        for idx in reduction.indices:
+        for idx in fold.cell:
             affine_dim: int | None = None
             for dim, iv in enumerate(ivs):
                 pattern = classify_index(idx, iv, root_body)
-                if pattern.kind == "affine" and pattern.parameter != 0:
+                if pattern.kind == "affine":
                     if dim == rank - 1:
-                        return None, None, None, (
+                        return (
                             "accumulator subscript varies along the "
                             "reduction dim"
                         )
                     if affine_dim is not None:
-                        return None, None, None, (
-                            "accumulator subscript couples two IVs"
-                        )
+                        return "accumulator subscript couples two IVs"
                     affine_dim = dim
                 elif pattern.kind != "invariant":
-                    return None, None, None, (
-                        "accumulator subscript is not affine/invariant"
-                    )
+                    return "accumulator subscript is not affine/invariant"
             if affine_dim is not None:
                 covered.add(affine_dim)
         if covered != set(range(rank - 1)):
-            return None, None, None, (
-                "accumulator subscripts do not cover the outer nest dims"
-            )
+            return "accumulator subscripts do not cover the outer nest dims"
+        acc_root = root_memref(fold.acc)
         for op in loads:
-            if id(op) in reduction.skip:
-                continue
-            if root_memref(op.operands[0]) is acc_root:
-                return None, None, None, (
-                    "accumulator read outside the combiner chain"
-                )
-        reason = loads_are_affine(reduction.skip)
+            if id(op) not in fold.skip and root_memref(op.operands[0]) is acc_root:
+                return "accumulator read outside the combiner chain"
+        reason = loads_are_affine(fold.skip)
         if reason is not None:
-            return None, None, None, reason
-        plan = _NestPlan(
-            ivs=tuple(ivs),
-            root_dims=root_dims,
-            chain=tuple(chain),
-            charge_specs=tuple(charge_specs),
-            observer_specs=tuple(observer_specs),
-            prelude=tuple(prelude_levels),
-            reduction=reduction,
-        )
-        program = _compile_vector_body(program_ops, reduction.skip, ivs)
-        return "nest_reduction", plan, program, None
+            return reason
+        return plan("nest_reduction", fold.skip, folds=(fold,))
 
     # -- elementwise / scatter: dependence-free, stores injective --------------
     if loaded & set(store_counts):
-        return None, None, None, (
-            "a buffer is both loaded and stored in the nest body"
-        )
+        return "a buffer is both loaded and stored in the nest body"
     if any(count > 1 for count in store_counts.values()):
-        return None, None, None, "multiple stores to one buffer"
+        return "multiple stores to one buffer"
     proof_dims: list[tuple[int, ...]] = []
-    needs_proof = False
     for op in stores:
         if len(op.operands) == 2:
-            return None, None, None, (
-                "rank-0 store hits the same cell every iteration"
-            )
+            return "rank-0 store hits the same cell every iteration"
         used_ivs: set[int] = set()
-        store_has_indirect = False
+        store_has_gather = False
         for idx in op.operands[2:]:
             affine_iv: int | None = None
-            dim_indirect = False
+            dim_gather = False
             for dim, iv in enumerate(ivs):
                 pattern = classify_index(idx, iv, root_body)
-                if pattern.kind == "affine" and pattern.parameter != 0:
+                if pattern.kind == "affine":
                     if affine_iv is not None:
-                        return None, None, None, (
-                            "store subscript couples two IVs"
-                        )
+                        return "store subscript couples two IVs"
                     affine_iv = dim
                 elif pattern.kind == "indirect":
-                    dim_indirect = True
+                    dim_gather = True
                 elif pattern.kind != "invariant":
-                    return None, None, None, (
-                        "store subscript is not affine/invariant/gather"
-                    )
-            if dim_indirect:
+                    return "store subscript is not affine/invariant/gather"
+            if dim_gather:
                 # varies through runtime index-array contents: no static
                 # coverage credit, the runtime proof decides
-                store_has_indirect = True
+                store_has_gather = True
             elif affine_iv is not None:
                 used_ivs.add(affine_iv)
         if used_ivs == set(range(rank)):
             # statically injective over the whole space — any extra
-            # indirect dims cannot introduce collisions
+            # gather dims cannot introduce collisions
             proof_dims.append(())
-        elif store_has_indirect:
-            # the PR 4 injectivity lattice, lifted to nest level: prove
-            # the full subscript *tuple* injective over the flat space
+        elif store_has_gather:
+            # the injectivity lattice lifted to the nest: prove the full
+            # subscript *tuple* injective over the flat space
             proof_dims.append(tuple(range(len(op.operands) - 2)))
-            needs_proof = True
         else:
-            return None, None, None, (
-                "store subscripts do not cover every nest dim"
-            )
+            return "store subscripts do not cover every nest dim"
     reason = loads_are_affine(frozenset())
     if reason is not None:
-        return None, None, None, reason
-    scatter = None
-    skip: frozenset[int] = frozenset()
-    if needs_proof:
+        return reason
+    if any(proof_dims):
         # defer *every* store so a failed proof leaves nothing mutated
-        scatter = _NestScatter(
-            stores=tuple(stores),
+        return plan(
+            "nest_scatter",
+            frozenset(id(op) for op in stores),
+            deferred=tuple(stores),
             proof_dims=tuple(proof_dims),
-            skip=frozenset(id(op) for op in stores),
         )
-        skip = scatter.skip
-    plan = _NestPlan(
-        ivs=tuple(ivs),
-        root_dims=root_dims,
-        chain=tuple(chain),
-        charge_specs=tuple(charge_specs),
-        observer_specs=tuple(observer_specs),
-        prelude=tuple(prelude_levels),
-        reduction=None,
-        scatter=scatter,
-    )
-    program = _compile_vector_body(program_ops, skip, ivs)
-    mode = "nest_scatter" if scatter is not None else "nest_elementwise"
-    return mode, plan, program, None
+    return plan("nest_elementwise", frozenset())
 
 
-def _classify_nest(loop: Operation) -> tuple:
-    """Cached classification for rank>=2 ``omp.loop_nest`` ops."""
-    key = id(loop)
-    _analysis_cache = _cache_for(loop)
-    cached = _analysis_cache.get(key)
-    if cached is not None and cached[0] is loop:
-        return cached
-    mode, plan, program, reason = _nest_vector_plan(loop)
-    if mode is None:
-        logger.debug(
-            "scalar bail-out: rank-%d omp.loop_nest not vectorized: %s",
-            len(loop.regions[0].block.args),
-            reason,
-        )
-    cached = (loop, mode, plan, program)
-    _analysis_cache[key] = cached
-    return cached
-
-
-# ---------------------------------------------------------------------------
-# Segmented (triangular / CSR) nests
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SegmentedSpan:
-    """Span flavour of ``nest_segmented``: a rank-1 elementwise loop
-    whose bounds are runtime data (SGESL's triangular ``j = k+1, n``
-    after hoisting).  Evaluation is the plain elementwise fast path with
-    *no* minimum-trip-count floor — each outer iteration is one runtime
-    segment, and the floor is what made the triangular tail a scalar
-    cliff.  The plan only exists to carry the empty skip set through the
-    generic body compile."""
-
-    skip: frozenset[int] = frozenset()
-
-
-@dataclass(frozen=True)
-class _SegmentedNest:
-    """Whole-space plan for an imperfect outer/inner pair whose inner
-    trip count varies with the outer IV: ``prologue / inner reduction
-    loop / epilogue`` with triangular (affine) or CSR (offset-array)
-    inner bounds.
-
-    Phase A (``row_program``) evaluates the prologue over the outer iv
-    vector — per-row inner bounds, the accumulator init value, epilogue
-    subscripts.  The flat space is built with prefix sums over the
-    per-row trip counts; ``inner_program`` evaluates the reduction
-    expression over it, and the fold runs per segment in iteration
-    order (bit-exact f32).  Phase B (``epilogue_program``) then runs the
-    epilogue per row with the accumulator readback preset to the folded
-    per-row values.  Nothing is mutated until every runtime proof (step
-    sign, monotone offsets, NaN hazard) has passed.
-
-    ``needs_monotone`` names the bounds (``"lb"``/``"ub"``) classified
-    as offset-array loads; those vectors are runtime-proved monotone
-    non-decreasing (the CSR contract) with a reasoned bail otherwise.
-    ``acc_shared`` is True when the accumulator cell is invariant across
-    rows (SpMV's alloca scratch: re-initialised per row by the prologue,
-    read back by the epilogue); False means the cell is affine in the
-    outer IV (``y(k) += ...``) and folds write back per row.
-    """
-
-    inner_for: Operation
-    outer_ops: int  # scalar step charge per outer iteration
-    inner_ops: int  # scalar step charge per inner iteration
-    bounds: tuple[SSAValue, SSAValue, SSAValue]  # inner lb / ub / step
-    needs_monotone: tuple[str, ...]
-    reduction: _MemrefReduction
-    acc_shared: bool
-    init_value: SSAValue | None  # prologue accumulator-init stored value
-    readback: Operation | None  # epilogue accumulator load (preset)
-    row_program: Any  # phase A over the outer IV
-    inner_program: Any  # flat space [outer, inner]
-    epilogue_program: Any  # phase B over the outer IV
-
-
-def _segmented_nest_plan(loop: Operation):
-    """Classify the segmented (imperfect) nest shape — an outer loop
-    whose body is ``prologue / one inner reduction loop / epilogue``,
-    the inner bounds affine in the outer IV or loaded from an offset
-    array.  Returns ``(mode, plan, program, reason)`` like
-    :func:`_nest_vector_plan`; all-None means the shape is something
-    else entirely (no reasoned diagnostic)."""
+def _segmented_plan(loop: Operation) -> LoopPlan | str | None:
+    """The ragged-dim shape: an outer loop whose body is ``prologue / one
+    inner fold loop / epilogue``, the inner bounds affine in the outer IV
+    or loaded from an offset array.  Returns the plan, a reason, or None
+    when the shape is something else entirely.  Nothing is mutated at
+    runtime until every proof (step sign, monotone offsets, NaN hazard)
+    has passed."""
     from repro.transforms.loop_analysis import (
         classify_index,
         index_values_equal,
@@ -1390,34 +1174,30 @@ def _segmented_nest_plan(loop: Operation):
     )
 
     body = loop.regions[0].block
-    if len(body.args) != 1 or loop.results:
-        return None, None, None, None
+    if loop.results:
+        return None
     iv_o = body.args[0]
     inner_loops = [op for op in body.ops if op.name == "scf.for"]
     if len(inner_loops) != 1:
-        return None, None, None, None
+        return None
     inner_for = inner_loops[0]
     if inner_for.results or len(inner_for.regions[0].blocks) != 1:
-        return None, None, None, "inner loop carries iter_args"
+        return "inner loop carries iter_args"
     inner_body = inner_for.regions[0].block
     if len(inner_body.args) != 1:
-        return None, None, None, "inner loop carries iter_args"
+        return "inner loop carries iter_args"
     if any(op.name == "scf.for" for op in inner_body.ops):
-        return None, None, None, None  # deeper nests: the perfect-chain path
+        return None  # deeper nests: the perfect-chain path
     pos = body.ops.index(inner_for)
     prologue = list(body.ops[:pos])
     epilogue = list(body.ops[pos + 1 :])
     for op in (*prologue, *epilogue):
         if op.regions or op.name not in _SUPPORTED:
-            return None, None, None, (
-                "outer body has nested regions or unsupported ops"
-            )
-    reduction = _analyze_memref_reduction_body(inner_body, inner_body.args[0])
-    if reduction is None:
-        return None, None, None, (
-            "inner body is not a memref-accumulator reduction"
-        )
-    acc_root = root_memref(reduction.acc)
+            return "outer body has nested regions or unsupported ops"
+    fold = _memref_fold(inner_body, inner_body.args[0])
+    if fold is None:
+        return "inner body is not a memref-accumulator reduction"
+    acc_root = root_memref(fold.acc)
 
     # -- inner bounds: affine in the outer IV, or monotone offset loads --------
     lb_v, ub_v, step_v = inner_for.operands[:3]
@@ -1427,31 +1207,28 @@ def _segmented_nest_plan(loop: Operation):
         if kind == "indirect":
             needs_monotone.append(which)
         elif kind not in ("affine", "invariant"):
-            return None, None, None, (
+            return (
                 "inner loop bounds are neither affine in the outer IV nor "
                 "loaded from an offset array"
             )
     if classify_index(step_v, iv_o, body).kind != "invariant":
-        return None, None, None, "inner loop step varies with the outer IV"
+        return "inner loop step varies with the outer IV"
 
     # -- accumulator cell must be resolvable per row ---------------------------
     prologue_defined = {r for op in prologue for r in op.results}
-
-    def row_resolvable(v: SSAValue) -> bool:
-        # the outer IV itself is the phase-A vector
-        return v is iv_o or _defined_outside(v, body) or v in prologue_defined
-
-    if not all(row_resolvable(idx) for idx in reduction.indices):
-        return None, None, None, (
-            "accumulator subscript is computed inside the inner loop body"
-        )
-    acc_shared = True
-    for idx in reduction.indices:
-        pattern = classify_index(idx, iv_o, body)
-        if pattern.kind == "affine" and pattern.parameter != 0:
-            acc_shared = False  # one cell per row: injective writeback
-        elif pattern.kind != "invariant":
-            return None, None, None, (
+    if not all(
+        # the outer IV itself is the row-program vector
+        idx is iv_o or _defined_outside(idx, body) or idx in prologue_defined
+        for idx in fold.cell
+    ):
+        return "accumulator subscript is computed inside the inner loop body"
+    shared = True
+    for idx in fold.cell:
+        kind = classify_index(idx, iv_o, body).kind
+        if kind == "affine":
+            shared = False  # one cell per row: injective writeback
+        elif kind != "invariant":
+            return (
                 "accumulator subscript is not affine/invariant in the "
                 "outer IV"
             )
@@ -1459,49 +1236,39 @@ def _segmented_nest_plan(loop: Operation):
     # -- prologue: pure compute plus (at most) the accumulator init store ------
     init_store = None
     for op in prologue:
-        if op.name == "memref.store":
-            if (
-                root_memref(op.operands[1]) is acc_root
-                and len(op.operands) - 2 == len(reduction.indices)
-                and all(
-                    index_values_equal(a, b, body)
-                    for a, b in zip(op.operands[2:], reduction.indices)
-                )
-            ):
-                if init_store is not None:
-                    return None, None, None, (
-                        "two accumulator init stores in the prologue"
-                    )
-                init_store = op
-            else:
-                return None, None, None, (
-                    "prologue stores to a non-accumulator buffer"
-                )
-    if acc_shared and init_store is None:
+        if op.name != "memref.store":
+            continue
+        if not (
+            root_memref(op.operands[1]) is acc_root
+            and len(op.operands) - 2 == len(fold.cell)
+            and all(
+                index_values_equal(a, b, body)
+                for a, b in zip(op.operands[2:], fold.cell)
+            )
+        ):
+            return "prologue stores to a non-accumulator buffer"
+        if init_store is not None:
+            return "two accumulator init stores in the prologue"
+        init_store = op
+    if shared and init_store is None:
         # without a per-row re-init the rows chain sequentially through
         # the shared cell — that is one long fold, not a segmented nest
-        return None, None, None, (
-            "shared accumulator carries a value across outer iterations"
-        )
+        return "shared accumulator carries a value across outer iterations"
 
     # -- epilogue: the accumulator readback + injective per-row stores ---------
     readback = None
     epi_store_roots: set[int] = set()
     for op in epilogue:
         if op.name == "memref.load" and root_memref(op.operands[0]) is acc_root:
-            if not acc_shared:
-                return None, None, None, (
-                    "per-row accumulator is read back in the epilogue"
-                )
+            if not shared:
+                return "per-row accumulator is read back in the epilogue"
             if readback is not None:
-                return None, None, None, (
-                    "accumulator read twice in the epilogue"
-                )
-            if len(op.operands) - 1 != len(reduction.indices) or not all(
+                return "accumulator read twice in the epilogue"
+            if len(op.operands) - 1 != len(fold.cell) or not all(
                 index_values_equal(a, b, body)
-                for a, b in zip(op.operands[1:], reduction.indices)
+                for a, b in zip(op.operands[1:], fold.cell)
             ):
-                return None, None, None, (
+                return (
                     "epilogue accumulator load subscript differs from the "
                     "reduction cell"
                 )
@@ -1509,123 +1276,314 @@ def _segmented_nest_plan(loop: Operation):
         elif op.name == "memref.store":
             root = root_memref(op.operands[1])
             if root is acc_root:
-                return None, None, None, "epilogue stores to the accumulator"
+                return "epilogue stores to the accumulator"
             if id(root) in epi_store_roots:
-                return None, None, None, "two epilogue stores to one buffer"
+                return "two epilogue stores to one buffer"
             epi_store_roots.add(id(root))
             if len(op.operands) == 2:
-                return None, None, None, (
-                    "rank-0 epilogue store hits the same cell every row"
+                return "rank-0 epilogue store hits the same cell every row"
+            kinds = [classify_index(i, iv_o, body).kind for i in op.operands[2:]]
+            if not set(kinds) <= {"affine", "invariant"}:
+                return (
+                    "epilogue store subscript is not affine/invariant "
+                    "in the outer IV"
                 )
-            affine_dims = 0
-            for idx in op.operands[2:]:
-                pattern = classify_index(idx, iv_o, body)
-                if pattern.kind == "affine" and pattern.parameter != 0:
-                    affine_dims += 1
-                elif pattern.kind != "invariant":
-                    return None, None, None, (
-                        "epilogue store subscript is not affine/invariant "
-                        "in the outer IV"
-                    )
-            if affine_dims == 0:
-                return None, None, None, (
-                    "epilogue store hits the same cell every row"
-                )
+            if "affine" not in kinds:
+                return "epilogue store hits the same cell every row"
 
     # -- nothing read anywhere in the nest may also be written in it -----------
     store_roots = {id(acc_root)} | epi_store_roots
-    nest_loads = (
-        [op for op in prologue if op.name == "memref.load"]
-        + [
-            op
-            for op in inner_body.ops
-            if op.name == "memref.load" and id(op) not in reduction.skip
-        ]
-        + [
-            op
-            for op in epilogue
-            if op.name == "memref.load" and op is not readback
-        ]
-    )
-    for op in nest_loads:
-        if id(root_memref(op.operands[0])) in store_roots:
-            return None, None, None, (
-                "a buffer read in the nest is also written in the nest"
-            )
+    nest_loads = [
+        op
+        for op in (*prologue, *inner_body.ops, *epilogue)
+        if op.name == "memref.load"
+        and id(op) not in fold.skip
+        and op is not readback
+    ]
+    if any(id(root_memref(op.operands[0])) in store_roots for op in nest_loads):
+        return "a buffer read in the nest is also written in the nest"
 
-    row_skip = (
-        frozenset({id(init_store)}) if init_store is not None else frozenset()
-    )
-    epi_skip = (
-        frozenset({id(readback)}) if readback is not None else frozenset()
-    )
-    plan = _SegmentedNest(
-        inner_for=inner_for,
-        outer_ops=max(1, len(body.ops)),
-        inner_ops=max(1, len(inner_body.ops)),
-        bounds=(lb_v, ub_v, step_v),
-        needs_monotone=tuple(needs_monotone),
-        reduction=reduction,
-        acc_shared=acc_shared,
-        init_value=init_store.operands[0] if init_store is not None else None,
-        readback=readback,
-        row_program=_compile_vector_body(prologue, row_skip, [iv_o]),
-        inner_program=_compile_vector_body(
-            list(inner_body.ops),
-            reduction.skip,
-            [iv_o, inner_body.args[0]],
+    row_skip = frozenset({id(init_store)} if init_store is not None else ())
+    epi_skip = frozenset({id(readback)} if readback is not None else ())
+    inner_iv = inner_body.args[0]
+    return LoopPlan(
+        mode="nest_segmented",
+        ivs=(iv_o, inner_iv),
+        root_dims=1,
+        program=_compile_vector_body(
+            list(inner_body.ops), fold.skip, [iv_o, inner_iv]
         ),
-        epilogue_program=_compile_vector_body(epilogue, epi_skip, [iv_o]),
+        charge_specs=(
+            (1, max(1, len(body.ops))),
+            (2, max(1, len(inner_body.ops))),
+        ),
+        ragged=_Ragged(
+            loop=inner_for,
+            bounds=(lb_v, ub_v, step_v),
+            needs_monotone=tuple(needs_monotone),
+            shared=shared,
+            init_value=(
+                init_store.operands[0] if init_store is not None else None
+            ),
+            readback=readback,
+            row_program=_compile_vector_body(prologue, row_skip, [iv_o]),
+            epilogue_program=_compile_vector_body(epilogue, epi_skip, [iv_o]),
+        ),
+        folds=(fold,),
     )
-    return "nest_segmented", plan, plan.row_program, None
 
 
-def _run_segmented_span(interp, loop: Operation, env, lb, ub, step) -> bool:
-    """The span flavour at runtime: the elementwise evaluation with no
-    minimum-trip-count floor (one runtime segment per dispatch)."""
-    _, _, _, program = _classify(loop)
-    trips = _trip_count(lb, ub, step)
-    if trips == 0:
-        return True
-    body = loop.regions[0].block
-    ivs = np.arange(lb, lb + trips * step, step, dtype=np.int64)
-    program.run(interp, env, ivs)
-    interp.steps += trips * max(1, len(body.ops))
-    return True
+# ---------------------------------------------------------------------------
+# Runtime
+# ---------------------------------------------------------------------------
 
 
-def _run_segmented(interp, loop: Operation, env, lb, ub, step, plan) -> bool:
-    """Execute a classified segmented nest whole-space.  True when
-    handled — observers and step accounting then exactly match the
-    scalar nested walk; a False return has mutated nothing (stores and
-    accumulator writebacks are all deferred past the runtime proofs), so
-    the scalar walk can rerun safely."""
-    trips_o = _trip_count(lb, ub, step)
+def run_vectorized(interp, loop: Operation, env, bounds) -> list | None:
+    """Run ``loop`` whole-space through its plan.
+
+    ``bounds`` holds one ``(lb, exclusive ub, step)`` triple per root
+    dim.  Returns the loop's results (``[]`` for a loop without any)
+    when handled — steps and observer calls then match the scalar walk
+    exactly; None means the scalar walk must run, and nothing was
+    mutated.
+    """
+    plan = _guarded_plan(interp, loop)
+    if plan is None:
+        return None
+    if plan.ragged is not None:
+        return _run_ragged(interp, env, bounds[0], plan)
+    # a rectangular space: the root dims plus the chain levels
+    trips = [_trip_count(lb, ub, step) for lb, ub, step in bounds]
+    bounds = list(bounds)
+    stitches = _chain_dims(interp, env, plan, bounds, trips) if plan.chain else ()
+    if stitches is None:
+        return None
+    total = math.prod(trips)
+    if 0 < total < plan.floor:
+        return None  # scalar wins on constant factors
+    if total:
+        results = _evaluate(interp, loop, env, plan, bounds, trips, total)
+        if results is None:
+            return None
+    else:
+        results = [
+            interp.get(env, loop.operands[3 + fold.position])
+            for fold in plan.folds
+            if fold.acc is None
+        ]
+
+    steps = 0
+    for dims, op_count in plan.charge_specs:
+        steps += math.prod(trips[:dims]) * op_count
+    observer = interp.loop_observer
+    for dims, main_for, rem_for, main_ops, rem_ops, m_t, r_t in stitches:
+        executions = math.prod(trips[:dims])
+        steps += executions * (m_t * main_ops + r_t * rem_ops)
+        if observer is not None and executions:
+            observer(main_for, m_t, executions)
+            observer(rem_for, r_t, executions)
+    interp.steps += steps
+    if observer is not None and plan.observer_specs:
+        for dims, chain_op in plan.observer_specs:
+            count = math.prod(trips[:dims])
+            if count:
+                observer(chain_op, trips[dims], count)
+    return results
+
+
+def _guarded_plan(interp, loop: Operation) -> LoopPlan | None:
+    """Classification that degrades instead of crashing.
+
+    The analysis is side-effect free, so an engine bug inside it must
+    never take down a run the scalar tier could complete: the crash is
+    recorded as a ``vectorized -> scalar`` degradation, once — the cache
+    is poisoned with a bail entry, consulted here before classifying.
+    """
+    cache = _cache_for(loop)
+    hit = cache.get(id(loop))
+    if hit is not None and hit[0] is loop:
+        plan = hit[1]
+    else:
+        try:
+            plan = classify(loop)
+        except Exception as error:  # noqa: BLE001 - degrade, never crash
+            plan = "classification crashed"
+            cache[id(loop)] = (loop, plan)
+            from repro.reliability.report import record_degradation
+
+            record_degradation(
+                interp, "vectorized", "scalar", f"{loop.name} classification",
+                error,
+            )
+    return plan if isinstance(plan, LoopPlan) else None
+
+
+def _chain_dims(interp, env, plan: LoopPlan, bounds, trips):
+    """Append the chain levels' bounds and trips, whose bound values are
+    read from the environment after the step-neutral prelude evaluation.
+    Returns the stitched levels' runtime accounting ``(dims, main_for,
+    rem_for, main_ops, rem_ops, main_trips, rem_trips)``, or None when a
+    non-positive step leaves the loop to the scalar walk."""
+    stitches = []
+    for level, level_prelude in zip(plan.chain, plan.prelude):
+        if 0 in trips:
+            # The scalar walk never reaches this level: its bound
+            # expressions must stay unevaluated (they may fault), and
+            # every deeper charge/observer product is zero regardless.
+            trips.append(0)
+            continue
+        if level_prelude:
+            # Bounds of chain loops may depend on IV-independent body
+            # ops (e.g. the cloned ``n`` load of an inner ``do k = 1,
+            # n``); they are pure, so pre-evaluating them is
+            # step-neutral and idempotent.
+            before = interp.steps
+            try:
+                for op in level_prelude:
+                    interp.run_op(op, env)
+            finally:
+                interp.steps = before
+        lb, ub, step = (interp.get(env, v) for v in level.bounds)
+        if step <= 0:
+            return None
+        if level.stitch is not None:
+            main_for, rem_for, main_ops, rem_ops = level.stitch
+            m_lb, m_ub, m_step = (
+                interp.get(env, v) for v in main_for.operands[:3]
+            )
+            if m_step <= 0:
+                return None
+            stitches.append((
+                len(trips), main_for, rem_for, main_ops, rem_ops,
+                _trip_count(m_lb, m_ub, m_step),
+                _trip_count(*(interp.get(env, v) for v in rem_for.operands[:3])),
+            ))
+        bounds.append((lb, ub, step))
+        trips.append(_trip_count(lb, ub, step))
+    return stitches
+
+
+def _evaluate(interp, loop, env, plan: LoopPlan, bounds, trips, total):
+    """Evaluate the program and apply the effects over a non-empty space.
+    Returns the iter_arg results, or None after a bail (nothing
+    mutated)."""
+    dim_values = [
+        np.arange(lb, lb + t * step, step, dtype=np.int64)
+        for (lb, _, step), t in zip(bounds, trips)
+    ]
+    if len(trips) == 1:
+        spaces = [dim_values]
+    elif total <= _MAX_NEST_ELEMS:
+        spaces = [_flatten_space(dim_values)]
+    else:
+        # Bound peak memory: evaluate chunks of outermost-dim slices (the
+        # whole-space temporaries scale with the *product* of the dims).
+        per_chunk = max(1, _MAX_NEST_ELEMS // max(1, total // trips[0]))
+        spaces = (
+            _flatten_space([dim_values[0][start : start + per_chunk], *dim_values[1:]])
+            for start in range(0, trips[0], per_chunk)
+        )
+        # Chunks commit one by one, but a NaN or a duplicate found in a
+        # later chunk must abort before anything was stored.
+        if any(_REDUCERS[f.op_name] in (np.minimum, np.maximum) for f in plan.folds):
+            logger.debug(
+                "scalar bail-out: min/max nest reduction exceeds the "
+                "whole-space size bound (NaN check needs one pass); "
+                "rerunning the loop on the scalar tier",
+            )
+            return None
+        if plan.deferred:
+            logger.debug(
+                "scalar bail-out: scatter nest exceeds the whole-space "
+                "size bound (injectivity needs one pass); rerunning the "
+                "loop on the scalar tier",
+            )
+            return None
+
+    results = []
+    slots = plan.program.slots
+    for vecs in spaces:
+        n = len(vecs[0])
+        frame = plan.program.run(interp, env, vecs)
+
+        def value(v: SSAValue, frame=frame):  # bind this chunk's frame
+            slot = slots.get(v)
+            if slot is not None:
+                return frame[slot]
+            return interp.get(env, v)
+
+        if plan.deferred and not _apply_scatter(plan, value, n):
+            return None  # failed proof: nothing was mutated
+        for fold in plan.folds:
+            if fold.acc is None:
+                result_type = loop.results[fold.position].type
+                dtype = _dtype_for(result_type)
+                init = interp.get(env, loop.operands[3 + fold.position])
+                vec = _as_vector(value(fold.expr), n, dtype)
+                if _nan_bail(fold.op_name, init, vec):
+                    return None  # evaluation was side-effect free
+                folded = _fold_rows(fold.op_name, np.asarray(init, dtype), vec)
+                results.append(_to_python(folded, result_type))
+                continue
+            array = value(fold.acc)
+            vec = _as_vector(value(fold.expr), n, array.dtype)
+            if _nan_bail(fold.op_name, array, vec):
+                return None  # single chunk (see above): nothing stored yet
+            if fold.ordered:
+                # invariant along the fold dim (the fastest-varying axis):
+                # one representative subscript per outer point
+                t = trips[-1]
+                key = tuple(
+                    np.asarray(i)[::t] if np.ndim(i) else int(i)
+                    for i in map(value, fold.cell)
+                ) if fold.cell else ()
+                init = array[key]  # one init per outer point
+                array[key] = _fold_rows(
+                    fold.op_name, init, vec.reshape(init.shape + (t,))
+                )
+            else:
+                # varying or indirect cells, collisions included: in-order
+                # per-cell combine
+                key = tuple(
+                    np.broadcast_to(i, (n,)) for i in map(value, fold.cell)
+                )
+                _REDUCERS[fold.op_name].at(
+                    array, key if len(key) > 1 else key[0], vec
+                )
+    return results
+
+
+def _run_ragged(interp, env, root_bounds, plan: LoopPlan):
+    """A segmented nest: rows of the outer dim, each with its own inner
+    trip count.  Stores and accumulator writebacks are all deferred past
+    the runtime proofs, so a None return has mutated nothing."""
+    ragged = plan.ragged
+    fold = plan.folds[0]
+    trips_o = _trip_count(*root_bounds)
     if trips_o == 0:
-        return True  # the scalar walk would do nothing either
+        return []  # the scalar walk would do nothing either
+    lb, _, step = root_bounds
     i_vec = np.arange(lb, lb + trips_o * step, step, dtype=np.int64)
-    frame_a = plan.row_program.run(interp, env, i_vec)
+    frame_a = ragged.row_program.run(interp, env, [i_vec])
 
     def row_value(v: SSAValue):
-        slot = plan.row_program.slots.get(v)
+        slot = ragged.row_program.slots.get(v)
         if slot is not None:
             return frame_a[slot]
         return interp.get(env, v)
 
-    inner_step = row_value(plan.bounds[2])
+    inner_step = row_value(ragged.bounds[2])
     if np.ndim(inner_step) != 0:
-        return False  # step varies per row: outside the contract
+        return None  # step varies per row: outside the contract
     inner_step = int(inner_step)
     if inner_step <= 0:
-        return False  # the scalar walk decides (zero-trip or diverging)
-    lb_vec = np.broadcast_to(
-        np.asarray(row_value(plan.bounds[0]), dtype=np.int64), (trips_o,)
-    )
-    ub_vec = np.broadcast_to(
-        np.asarray(row_value(plan.bounds[1]), dtype=np.int64), (trips_o,)
+        return None  # the scalar walk decides (zero-trip or diverging)
+    lb_vec, ub_vec = (
+        np.broadcast_to(np.asarray(row_value(v), dtype=np.int64), (trips_o,))
+        for v in ragged.bounds[:2]
     )
     for which, vec in (("lb", lb_vec), ("ub", ub_vec)):
-        if which in plan.needs_monotone and trips_o > 1 and bool(
+        if which in ragged.needs_monotone and trips_o > 1 and bool(
             np.any(np.diff(vec) < 0)
         ):
             logger.debug(
@@ -1634,26 +1592,22 @@ def _run_segmented(interp, loop: Operation, env, lb, ub, step, plan) -> bool:
                 "rerunning the loop on the scalar tier",
                 which,
             )
-            return False
+            return None
     trips_vec = np.maximum(0, -((lb_vec - ub_vec) // inner_step))
     total = int(trips_vec.sum())
-    if trips_o + total < _MIN_TRIPS:
-        return False  # scalar wins on constant factors
+    if trips_o + total < plan.floor:
+        return None  # scalar wins on constant factors
 
-    reduction = plan.reduction
-    acc_arr = row_value(reduction.acc)
+    acc_arr = row_value(fold.acc)
     dtype = acc_arr.dtype
-    ufunc = _REDUCERS[reduction.op_name]
-    cell_values = [row_value(i) for i in reduction.indices]
     cell = tuple(
-        np.asarray(v) if np.ndim(v) else int(v) for v in cell_values
+        np.asarray(v) if np.ndim(v) else int(v)
+        for v in (row_value(i) for i in fold.cell)
     )
-    if plan.init_value is not None:
-        init_rows = _as_vector(row_value(plan.init_value), trips_o, dtype)
+    if ragged.init_value is not None:
+        init_rows = _as_vector(row_value(ragged.init_value), trips_o, dtype)
     else:
-        init_rows = _as_vector(
-            acc_arr[cell] if cell else acc_arr[()], trips_o, dtype
-        )
+        init_rows = _as_vector(acc_arr[cell], trips_o, dtype)
 
     folded_all = np.empty(trips_o, dtype=dtype)
     cum = np.cumsum(trips_vec)
@@ -1686,7 +1640,7 @@ def _run_segmented(interp, loop: Operation, env, lb, ub, step, plan) -> bool:
         )
 
         def resolve(v: SSAValue, _r0=r0, _r1=r1, _seg=seg):
-            slot = plan.row_program.slots.get(v)
+            slot = ragged.row_program.slots.get(v)
             if slot is not None:
                 val = frame_a[slot]
                 if np.ndim(val) == 0:
@@ -1694,57 +1648,43 @@ def _run_segmented(interp, loop: Operation, env, lb, ub, step, plan) -> bool:
                 return np.repeat(val[_r0:_r1], _seg)
             return interp.get(env, v)
 
-        frame_i = plan.inner_program.run_with(
+        frame_i = plan.program.run(
             interp, env, [outer_flat, inner_flat], resolve
         )
-        slot = plan.inner_program.slots.get(reduction.expr)
+        slot = plan.program.slots.get(fold.expr)
         expr_vec = _as_vector(
-            frame_i[slot] if slot is not None else resolve(reduction.expr),
+            frame_i[slot] if slot is not None else resolve(fold.expr),
             ctotal,
             dtype,
         )
-        if _minmax_nan_hazard(reduction.op_name, init_chunk, expr_vec):
-            logger.debug(
-                "scalar bail-out: %s reduction input contains NaN "
-                "(np.minimum/np.maximum propagate NaN where the scalar "
-                "engine's min/max ignore a NaN rhs); rerunning the loop "
-                "on the scalar tier",
-                reduction.op_name,
-            )
-            return False  # nothing mutated yet: all writes are deferred
+        if _nan_bail(fold.op_name, init_chunk, expr_vec):
+            return None  # nothing mutated yet: all writes are deferred
         t0 = int(seg[0])
         if bool(np.all(seg == t0)):
             # equal rows: one ordered accumulate over an init column
-            expr_mat = expr_vec.reshape(rows_n, t0)
-            if ufunc is np.minimum or ufunc is np.maximum:
-                folded = ufunc(init_chunk, ufunc.reduce(expr_mat, axis=1))
-            else:
-                seq = np.empty((rows_n, t0 + 1), dtype=dtype)
-                seq[:, 0] = init_chunk
-                seq[:, 1:] = expr_mat
-                folded = ufunc.accumulate(seq, axis=1)[:, -1]
+            folded = _fold_rows(
+                fold.op_name, init_chunk, expr_vec.reshape(rows_n, t0)
+            )
         else:
             # ragged rows: in-order per-cell combine over segment ids
             folded = init_chunk.astype(dtype, copy=True)
-            seg_ids = np.repeat(np.arange(rows_n), seg)
-            ufunc.at(folded, seg_ids, expr_vec)
+            _REDUCERS[fold.op_name].at(
+                folded, np.repeat(np.arange(rows_n), seg), expr_vec
+            )
         folded_all[r0:r1] = folded
         r0 = r1
 
     # -- every proof passed: run the epilogue and write the folds back ---------
     def resolve_epi(v: SSAValue):
-        if plan.readback is not None and v is plan.readback.results[0]:
+        if ragged.readback is not None and v is ragged.readback.results[0]:
             return folded_all
         return row_value(v)
 
-    plan.epilogue_program.run_with(interp, env, [i_vec], resolve_epi)
-    if plan.acc_shared:
+    ragged.epilogue_program.run(interp, env, [i_vec], resolve_epi)
+    if ragged.shared:
         # the scalar walk leaves the last row's fold in the shared cell
-        if cell:
-            acc_arr[cell] = folded_all[-1]
-        else:
-            acc_arr[()] = folded_all[-1]
-    elif plan.init_value is not None:
+        acc_arr[cell] = folded_all[-1]
+    elif ragged.init_value is not None:
         acc_arr[cell] = folded_all  # init store ran even for empty rows
     else:
         nz = trips_vec > 0
@@ -1755,80 +1695,20 @@ def _run_segmented(interp, loop: Operation, env, lb, ub, step, plan) -> bool:
             cell_nz = tuple(c[nz] if np.ndim(c) else c for c in cell)
             acc_arr[cell_nz] = folded_all[nz]
 
-    interp.steps += trips_o * plan.outer_ops + total * plan.inner_ops
+    (_, outer_ops), (_, inner_ops) = plan.charge_specs
+    interp.steps += trips_o * outer_ops + total * inner_ops
     observer = interp.loop_observer
     if observer is not None:
-        # one observer call per distinct per-row trip count, batched —
-        # modelled cycles are integer-valued floats, so sums stay exact
+        # one observer call per distinct per-row trip count
         uniq, counts = np.unique(trips_vec, return_counts=True)
         for t, c in zip(uniq, counts):
-            _fire_observer(observer, plan.inner_for, int(t), int(c))
-    return True
-
-
-def _classify_guarded(interp, loop: Operation, classifier) -> tuple:
-    """Classification that degrades instead of crashing.
-
-    The classifiers are side-effect free, so an engine bug inside the
-    vectorizer's analysis must never take down a run the scalar tier
-    could complete: the crash is recorded as a ``vectorized -> scalar``
-    degradation (once — the cache is poisoned with a no-mode entry) and
-    the caller takes its normal scalar bail path.  The cache is consulted
-    here too, so the poisoned entry short-circuits before the crashed
-    classifier runs again.
-    """
-    cache = _cache_for(loop)
-    cached = cache.get(id(loop))
-    if cached is not None and cached[0] is loop:
-        return cached
-    try:
-        return classifier(loop)
-    except Exception as error:  # noqa: BLE001 - degrade, never crash
-        cached = (loop, None, None, None)
-        cache[id(loop)] = cached
-        from repro.reliability.report import record_degradation
-
-        record_degradation(
-            interp,
-            "vectorized",
-            "scalar",
-            f"{loop.name} classification",
-            error,
-        )
-        return cached
-
-
-def _accepts_count(observer) -> bool:
-    """True when the observer accepts the batching ``count`` argument."""
-    import inspect
-
-    try:
-        inspect.signature(observer).bind("op", "trips", "count")
-    except TypeError:
-        return False
-    return True
-
-
-def _fire_observer(observer, op: Operation, trips: int, count: int) -> None:
-    """Fire the loop observer as often as the scalar walk would.
-
-    Batched observers (``observer(op, trips, count)``) get one call;
-    two-argument observers are called ``count`` times.  Arity is probed
-    by signature, not by catching TypeError — an error raised *inside*
-    the observer must propagate, not trigger duplicate calls.
-    """
-    if _accepts_count(observer):
-        observer(op, trips, count)
-    else:
-        for _ in range(count):
-            observer(op, trips)
+            observer(ragged.loop, int(t), int(c))
+    return []
 
 
 def _flatten_space(dim_values: list) -> list:
     """Row-major per-dimension index vectors over the product space."""
-    size = 1
-    for values in dim_values:
-        size *= len(values)
+    size = math.prod(len(values) for values in dim_values)
     vecs = []
     reps_after = size
     reps_before = 1
@@ -1840,252 +1720,133 @@ def _flatten_space(dim_values: list) -> list:
     return vecs
 
 
-def _run_nest(interp, loop: Operation, env, root_bounds, plan, program) -> bool:
-    """Execute a classified nest whole-space.  ``root_bounds`` holds one
-    ``(lb, exclusive ub, step)`` triple per root dimension; chain-member
-    bounds are read from the environment (after the step-neutral prelude
-    evaluation).  Returns True when handled — observers and step
-    accounting then exactly match the scalar nested walk; False leaves
-    no visible side effects, so the scalar walk can rerun safely.
-    """
-    trips = [_trip_count(lb, ub, step) for lb, ub, step in root_bounds]
-    bounds = list(root_bounds)
-    total = 1
-    for t in trips:
-        total *= t
-    #: (dims, main_for, rem_for, main_ops, rem_ops, main_trips, rem_trips)
-    stitch_runtime: list[tuple] = []
-    for level, level_prelude in zip(plan.chain, plan.prelude):
-        if total == 0:
-            # The scalar walk never reaches this level: its bound
-            # expressions must stay unevaluated (they may fault), and
-            # every deeper charge/observer product is zero regardless.
-            trips.append(0)
-            continue
-        if level_prelude:
-            # Bounds of chain loops may depend on IV-independent body
-            # ops (e.g. the cloned ``n`` load of an inner ``do k = 1,
-            # n``); they are pure, so pre-evaluating them is
-            # step-neutral and idempotent.
-            before = interp.steps
-            try:
-                for op in level_prelude:
-                    interp.run_op(op, env)
-            finally:
-                interp.steps = before
-        lb = interp.get(env, level.bounds[0])
-        ub = interp.get(env, level.bounds[1])
-        step = interp.get(env, level.bounds[2])
-        if step <= 0:
-            return False
-        if level.stitch is not None:
-            main_for, rem_for, main_ops, rem_ops = level.stitch
-            m_lb, m_ub, m_step = (
-                interp.get(env, v) for v in main_for.operands[:3]
-            )
-            r_lb, r_ub, r_step = (
-                interp.get(env, v) for v in rem_for.operands[:3]
-            )
-            if m_step <= 0:
-                return False
-            stitch_runtime.append((
-                len(trips), main_for, rem_for, main_ops, rem_ops,
-                _trip_count(m_lb, m_ub, m_step),
-                _trip_count(r_lb, r_ub, r_step),
-            ))
-        bounds.append((lb, ub, step))
-        trips.append(_trip_count(lb, ub, step))
-        total *= trips[-1]
-    if 0 < total < _MIN_TRIPS:
-        return False  # scalar wins on constant factors
+def _trip_count(lb, ub, step) -> int:
+    return max(0, -(-(ub - lb) // step)) if step > 0 else 0
 
-    def commit() -> bool:
-        steps_charged = 0
-        for dims, op_count in plan.charge_specs:
-            executions = 1
-            for t in trips[:dims]:
-                executions *= t
-            steps_charged += executions * op_count
-        observer = interp.loop_observer
-        for entry in stitch_runtime:
-            dims, main_for, rem_for, main_ops, rem_ops, m_t, r_t = entry
-            executions = 1
-            for t in trips[:dims]:
-                executions *= t
-            steps_charged += executions * (m_t * main_ops + r_t * rem_ops)
-            if observer is not None and executions:
-                _fire_observer(observer, main_for, m_t, executions)
-                _fire_observer(observer, rem_for, r_t, executions)
-        interp.steps += steps_charged
-        if observer is not None:
-            for dims, chain_op in plan.observer_specs:
-                count = 1
-                for t in trips[:dims]:
-                    count *= t
-                if count:
-                    _fire_observer(observer, chain_op, trips[dims], count)
-        return True
 
-    if total == 0:
-        return commit()
+def _fold_rows(op_name: str, init, rows: np.ndarray) -> np.ndarray:
+    """Fold each row of ``rows`` (its last axis; one row when 1-D) into
+    its ``init`` in order: an ordered ``accumulate`` for add/mul (the
+    scalar walk's rounding order), ``reduce`` for the order-insensitive
+    min/max."""
+    ufunc = _REDUCERS[op_name]
+    if ufunc is np.minimum or ufunc is np.maximum:
+        return ufunc(init, ufunc.reduce(rows, axis=-1))
+    seq = np.empty(rows.shape[:-1] + (rows.shape[-1] + 1,), dtype=rows.dtype)
+    seq[..., 0] = init
+    seq[..., 1:] = rows
+    return ufunc.accumulate(seq, axis=-1)[..., -1]
 
-    reduction = plan.reduction
-    red_trips = trips[-1] if reduction is not None else 1
-    dim_values = [
-        np.arange(lb, lb + t * step, step, dtype=np.int64)
-        for (lb, _, step), t in zip(bounds, trips)
-    ]
-    if total <= _MAX_NEST_ELEMS:
-        outer_chunks = [dim_values[0]]
-    else:
-        # Bound peak memory: evaluate chunks of outermost-dim slices (the
-        # whole-space temporaries scale with the *product* of the dims).
-        inner_total = total // trips[0]
-        per_chunk = max(1, _MAX_NEST_ELEMS // max(1, inner_total))
-        outer_chunks = [
-            dim_values[0][start : start + per_chunk]
-            for start in range(0, trips[0], per_chunk)
-        ]
-        if reduction is not None and _REDUCERS[reduction.op_name] in (
-            np.minimum, np.maximum,
-        ):
-            # Chunked evaluation commits chunk-by-chunk, but a NaN found
-            # in a later chunk must abort *before* anything was stored —
-            # stay scalar rather than risk a partial update.
-            logger.debug(
-                "scalar bail-out: min/max nest reduction exceeds the "
-                "whole-space size bound (NaN check needs one pass); "
-                "rerunning the loop on the scalar tier",
-            )
-            return False
-    if plan.scatter is not None and len(outer_chunks) > 1:
-        # Injectivity must hold over the *whole* space: chunked
-        # evaluation commits chunk-by-chunk before later chunks are
-        # proved, so oversized scatter nests stay scalar.
-        logger.debug(
-            "scalar bail-out: scatter nest exceeds the whole-space size "
-            "bound (injectivity needs one pass); rerunning the loop on "
-            "the scalar tier",
-        )
+
+def _nan_bail(op_name: str, init, vec: np.ndarray) -> bool:
+    """NaNs make ``np.minimum``/``np.maximum`` diverge from the scalar
+    engine's Python ``min``/``max`` (which ignore a NaN rhs): such a fold
+    logs a bail and takes the scalar path.  ``init`` is the iter_arg
+    init, the whole accumulator array or the per-row inits."""
+    ufunc = _REDUCERS[op_name]
+    if ufunc is not np.minimum and ufunc is not np.maximum:
         return False
-
-    for chunk in outer_chunks:
-        vecs = _flatten_space([chunk, *dim_values[1:]])
-        frame = program.run(interp, env, vecs)
-        if plan.scatter is not None:
-            if not _apply_nest_scatter(
-                interp, env, plan.scatter, program, frame, len(vecs[0])
-            ):
-                return False  # failed proof: nothing was mutated
-            continue
-        if reduction is None:
-            continue  # stores were applied by the compiled program
-
-        def value(v: SSAValue, frame=frame):  # bind this chunk's frame
-            slot = program.slots.get(v)
-            if slot is not None:
-                return frame[slot]
-            return interp.get(env, v)
-
-        array = value(reduction.acc)
-        dtype = array.dtype
-        chunk_total = len(vecs[0])
-        outer_n = chunk_total // red_trips
-        vec = _as_vector(value(reduction.expr), chunk_total, dtype)
-        if _minmax_nan_hazard(reduction.op_name, array, vec):
-            logger.debug(
-                "scalar bail-out: %s reduction input contains NaN "
-                "(np.minimum/np.maximum propagate NaN where the scalar "
-                "engine's min/max ignore a NaN rhs); rerunning the loop "
-                "on the scalar tier",
-                reduction.op_name,
-            )
-            return False  # single chunk (see above): nothing stored yet
-        # Subscripts are invariant along the reduction dim (the fastest-
-        # varying axis), so one representative per outer point suffices.
-        cell = tuple(
-            np.asarray(i)[::red_trips] if np.ndim(i) else int(i)
-            for i in (value(i) for i in reduction.indices)
-        )
-        init = array[cell]
-        expr_mat = vec.reshape(outer_n, red_trips)
-        ufunc = _REDUCERS[reduction.op_name]
-        if ufunc is np.minimum or ufunc is np.maximum:
-            folded = ufunc(init, ufunc.reduce(expr_mat, axis=1))
-        else:
-            # Ordered fold per accumulator cell: bit-exact f32, matching
-            # the scalar walk's left-to-right combine order.
-            seq = np.empty((outer_n, red_trips + 1), dtype=dtype)
-            seq[:, 0] = init
-            seq[:, 1:] = expr_mat
-            folded = ufunc.accumulate(seq, axis=1)[:, -1]
-        array[cell] = folded
-
-    return commit()
-
-
-def try_vectorized_nest(
-    interp, loop: Operation, env, lb: int, ub: int, step: int
-) -> bool:
-    """Whole-space evaluation of a perfect ``scf.for`` nest rooted at
-    ``loop``.  Returns True when handled; the scalar walk must run
-    otherwise."""
-    _, mode, plan, program = _classify_guarded(interp, loop, _classify)
-    if mode == "nest_segmented":
-        if isinstance(plan, _SegmentedSpan):
-            return _run_segmented_span(interp, loop, env, lb, ub, step)
-        return _run_segmented(interp, loop, env, lb, ub, step, plan)
-    if mode not in ("nest_elementwise", "nest_reduction", "nest_scatter"):
+    if vec.dtype.kind != "f":
         return False
-    return _run_nest(interp, loop, env, [(lb, ub, step)], plan, program)
-
-
-def try_vectorized_loop_nest(
-    interp, loop: Operation, env, lbs, ubs, steps
-) -> bool:
-    """Whole-iteration-space evaluation of a rank-n ``omp.loop_nest``
-    (elementwise, or folding an innermost-dim reduction).
-
-    ``ubs`` are already exclusive.  Returns True when handled; the
-    scalar nested walk must run otherwise.  Step accounting matches the
-    scalar walk exactly (one step per body op per innermost iteration).
-    """
-    _, mode, plan, program = _classify_guarded(interp, loop, _classify_nest)
-    if mode is None:
+    if not (bool(np.isnan(vec).any()) or bool(np.isnan(init).any())):
         return False
-    return _run_nest(
-        interp, loop, env, list(zip(lbs, ubs, steps)), plan, program
+    logger.debug(
+        "scalar bail-out: %s reduction input contains NaN "
+        "(np.minimum/np.maximum propagate NaN where the scalar engine's "
+        "min/max ignore a NaN rhs); rerunning the loop on the scalar tier",
+        op_name,
     )
+    return True
 
 
-def loop_vector_mode(loop: Operation) -> tuple[str | None, Any]:
-    """Classify ``loop`` once: ``("elementwise", None)``,
-    ``("iter_reduction", plan)``, ``("memref_reduction", plan)``,
-    ``("scatter_store", plan)``, ``("nest_elementwise", plan)`` /
-    ``("nest_reduction", plan)`` / ``("nest_scatter", plan)`` for
-    perfect loop-nest chain roots, ``("nest_segmented", plan)`` for
-    runtime-bounded span loops and triangular/CSR outer-inner pairs, or
-    ``(None, None)``.  Cached per loop op."""
-    cached = _classify(loop)
-    return cached[1], cached[2]
+def _prove_injective(vec: np.ndarray) -> str | None:
+    """Runtime tiers of the injectivity-proof lattice (see the module
+    docstring): ``monotone`` (O(n)) before ``unique`` (O(n log n));
+    None when the vector has duplicates."""
+    if vec.size <= 1:
+        return "trivial"
+    deltas = np.diff(vec)
+    if bool(np.all(deltas > 0)) or bool(np.all(deltas < 0)):
+        return "monotone"
+    if np.unique(vec).size == vec.size:
+        return "unique"
+    return None
 
 
-def invalidate_analysis(root: Operation) -> None:
-    """Drop cached loop classifications under ``root`` (called by the
-    pass manager / rewrite driver after in-place mutation)."""
-    cache = _cache_for(root)
-    for op in root.walk():
-        cache.pop(id(op), None)
+def _prove_injective_tuple(columns, total: int) -> str | None:
+    """The injectivity lattice lifted to a subscript *tuple* over the
+    flattened space: a single varying column uses the rank-1 tiers
+    (monotone before unique); several columns are lexsorted together and
+    proved duplicate-free by adjacent comparison (O(n log n))."""
+    arrays = [np.broadcast_to(np.asarray(c), (total,)) for c in columns]
+    if total <= 1:
+        return "trivial"
+    if len(arrays) == 1:
+        return _prove_injective(arrays[0])
+    order = np.lexsort(arrays)
+    dup = np.ones(total - 1, dtype=bool)
+    for a in arrays:
+        sorted_col = a[order]
+        dup &= sorted_col[1:] == sorted_col[:-1]
+    return None if bool(dup.any()) else "tuple-unique"
+
+
+def _apply_scatter(plan: LoopPlan, value, total: int) -> bool:
+    """Prove every deferred store injective over the space, then apply
+    them in op order.  False (nothing mutated — the stores were left out
+    of the compiled program) means the scalar walk must rerun."""
+    resolved = []
+    for store, dims in zip(plan.deferred, plan.proof_dims):
+        indices = [value(i) for i in store.operands[2:]]
+        if dims and _prove_injective_tuple(
+            [indices[d] for d in dims], total
+        ) is None:
+            logger.debug(
+                "scalar bail-out: scatter store failed the injectivity "
+                "proof (subscript tuple has duplicate entries over the "
+                "iteration space); rerunning the loop on the scalar tier",
+            )
+            return False
+        resolved.append((store, indices))
+    for store, indices in resolved:
+        key = tuple(np.asarray(i) if np.ndim(i) else int(i) for i in indices)
+        value(store.operands[1])[key if len(key) > 1 else key[0]] = value(
+            store.operands[0]
+        )
+    return True
+
+
+def _dtype_for(ty) -> np.dtype:
+    from repro.ir.types import FloatType
+
+    if isinstance(ty, FloatType):
+        return np.dtype(np.float32 if ty.width == 32 else np.float64)
+    return np.dtype(np.int64)
+
+
+def _as_vector(value, trips: int, dtype) -> np.ndarray:
+    vec = np.asarray(value)
+    if vec.ndim == 0:
+        return np.full(trips, vec[()], dtype=dtype)
+    return vec.astype(dtype, copy=False)
+
+
+def _to_python(value, ty):
+    from repro.ir.types import FloatType
+
+    if isinstance(ty, FloatType):
+        return float(value)
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
-# Elementwise body evaluation (shared by all fast paths)
+# The vector program (shared by every plan)
 # ---------------------------------------------------------------------------
 #
 # The body is translated *once per loop op* into a small slot-frame
 # program (closures over integer slot indices, constants prefilled in the
-# template) and cached with the loop classification, so per-execution
-# cost is just the NumPy work plus one closure call per body op.
+# template) and cached with the plan, so per-execution cost is just the
+# NumPy work plus one closure call per body op.
 
 
 class _VectorProgram:
@@ -2093,9 +1854,7 @@ class _VectorProgram:
 
     Frame slot 0 holds the instruction tuple itself, so a run needs only
     one template copy plus the outer-value fetches.  ``iv_slots`` holds
-    one slot per induction variable (rank-n ``omp.loop_nest`` bodies have
-    several); ``run`` accepts a single iv vector for rank 1 or a sequence
-    of per-dimension vectors otherwise.
+    one slot per induction variable.
     """
 
     __slots__ = ("template", "slots", "iv_slots", "outer")
@@ -2107,32 +1866,25 @@ class _VectorProgram:
         #: loop-invariant values fetched from the interpreter env per run
         self.outer = outer
 
-    def run(self, interp, env, ivs) -> list:
-        frame = self.template.copy()
-        if len(self.iv_slots) == 1:
-            frame[self.iv_slots[0]] = ivs
-        else:
-            for slot, vec in zip(self.iv_slots, ivs):
-                frame[slot] = vec
-        get = interp.get
-        for slot, value in self.outer:
-            frame[slot] = get(env, value)
-        for instr in frame[0]:
-            instr(frame)
-        return frame
-
-    def run_with(self, interp, env, ivs, resolve) -> list:
-        """Like :meth:`run`, but every outer-value fetch goes through
-        ``resolve`` — the segmented nest runner uses this to feed
-        per-row phase values (prologue results repeated per segment, the
-        folded accumulator preset for the epilogue readback) where
-        :meth:`run` would consult the interpreter environment.  ``ivs``
-        is always a sequence with one vector per iv slot."""
+    def run(self, interp, env, ivs, resolve=None) -> list:
+        """Evaluate over ``ivs`` (one vector per iv slot).  Outer values
+        come from the interpreter environment, or through ``resolve`` —
+        the ragged runner feeds per-row values (prologue results repeated
+        per segment, the folded accumulator preset for the epilogue
+        readback) that way."""
         frame = self.template.copy()
         for slot, vec in zip(self.iv_slots, ivs):
             frame[slot] = vec
-        for slot, value in self.outer:
-            frame[slot] = resolve(value)
+        if resolve is None:
+            try:
+                for slot, value in self.outer:
+                    frame[slot] = env[value]
+            except KeyError:  # ``interp.get`` raises the typed error
+                for slot, value in self.outer:
+                    frame[slot] = interp.get(env, value)
+        else:
+            for slot, value in self.outer:
+                frame[slot] = resolve(value)
         for instr in frame[0]:
             instr(frame)
         return frame
@@ -2280,272 +2032,3 @@ def _compile_vector_body(
     ctx.template[0] = tuple(ctx.instrs)
     return _VectorProgram(ctx.template, ctx.slots, iv_slots, tuple(ctx.outer))
 
-
-def _trip_count(lb, ub, step) -> int:
-    return max(0, -(-(ub - lb) // step)) if step > 0 else 0
-
-
-# ---------------------------------------------------------------------------
-# Elementwise fast path
-# ---------------------------------------------------------------------------
-
-
-def _prove_injective(vec: np.ndarray) -> str | None:
-    """Runtime tiers of the injectivity-proof lattice (see the module
-    docstring): ``monotone`` (O(n)) before ``unique`` (O(n log n));
-    None when the vector has duplicates."""
-    if vec.size <= 1:
-        return "trivial"
-    deltas = np.diff(vec)
-    if bool(np.all(deltas > 0)) or bool(np.all(deltas < 0)):
-        return "monotone"
-    if np.unique(vec).size == vec.size:
-        return "unique"
-    return None
-
-
-def _prove_injective_tuple(columns, total: int) -> str | None:
-    """The injectivity lattice lifted to a subscript *tuple* over the
-    flattened nest space: a single varying column uses the rank-1 tiers
-    (monotone before unique); several columns are lexsorted together and
-    proved duplicate-free by adjacent comparison (O(n log n))."""
-    arrays = [np.broadcast_to(np.asarray(c), (total,)) for c in columns]
-    if total <= 1:
-        return "trivial"
-    if len(arrays) == 1:
-        return _prove_injective(arrays[0])
-    order = np.lexsort(arrays)
-    dup = np.ones(total - 1, dtype=bool)
-    for a in arrays:
-        sorted_col = a[order]
-        dup &= sorted_col[1:] == sorted_col[:-1]
-    return None if bool(dup.any()) else "tuple-unique"
-
-
-def _apply_nest_scatter(
-    interp, env, scatter: _NestScatter, program, frame, total: int
-) -> bool:
-    """Prove every deferred nest store injective over the flat space,
-    then apply them in op order.  False (nothing mutated — all stores
-    were skipped from the compiled program) means the scalar walk must
-    rerun."""
-
-    def value(v: SSAValue):
-        slot = program.slots.get(v)
-        if slot is not None:
-            return frame[slot]
-        return interp.get(env, v)
-
-    resolved = []
-    for store, dims_to_prove in zip(scatter.stores, scatter.proof_dims):
-        indices = [value(i) for i in store.operands[2:]]
-        if dims_to_prove:
-            proof = _prove_injective_tuple(
-                [indices[d] for d in dims_to_prove], total
-            )
-            if proof is None:
-                logger.debug(
-                    "scalar bail-out: nest scatter store failed the "
-                    "injectivity proof (subscript tuple has duplicate "
-                    "entries over the flattened space); rerunning the "
-                    "loop on the scalar tier",
-                )
-                return False
-        resolved.append((store, indices))
-    for store, indices in resolved:
-        array = value(store.operands[1])
-        key = tuple(
-            np.asarray(i) if np.ndim(i) else int(i) for i in indices
-        )
-        array[key if len(key) > 1 else key[0]] = value(store.operands[0])
-    return True
-
-
-def try_vectorized_loop(
-    interp, loop: Operation, env, lb: int, ub: int, step: int
-) -> bool:
-    """Execute the loop vectorized if provably safe.  Returns True when
-    handled (the scalar path must run otherwise)."""
-    _, mode, plan, program = _classify_guarded(interp, loop, _classify)
-    if mode not in ("elementwise", "scatter_store"):
-        return False
-    trips = _trip_count(lb, ub, step)
-    if trips == 0:
-        return True
-    if trips < _MIN_TRIPS:
-        return False  # scalar is cheaper for short loops
-    body = loop.regions[0].block
-    ivs = np.arange(lb, lb + trips * step, step, dtype=np.int64)
-    frame = program.run(interp, env, ivs)
-
-    if mode == "scatter_store":
-        # Stores were deferred (skipped from the compiled body), so the
-        # evaluation above mutated nothing: prove every store's subscript
-        # injective *before* applying any of them, and fall back to the
-        # scalar walk cleanly when a proof fails.
-        def value(v: SSAValue):
-            slot = program.slots.get(v)
-            if slot is not None:
-                return frame[slot]
-            return interp.get(env, v)
-
-        resolved = []
-        for store, proof_dims in zip(plan.stores, plan.proof_dims):
-            indices = [value(i) for i in store.operands[2:]]
-            proof = "affine" if not proof_dims else None
-            for dim in proof_dims:
-                proof = _prove_injective(np.asarray(indices[dim]))
-                if proof is not None:
-                    break
-            if proof is None:
-                logger.debug(
-                    "scalar bail-out: scatter store failed the "
-                    "injectivity proof (index vector has duplicate "
-                    "entries; neither monotone nor unique); rerunning "
-                    "the loop on the scalar tier",
-                )
-                return False
-            resolved.append((store, indices))
-        for store, indices in resolved:
-            array = value(store.operands[1])
-            key = tuple(
-                np.asarray(i) if np.ndim(i) else int(i) for i in indices
-            )
-            array[key if len(key) > 1 else key[0]] = value(store.operands[0])
-
-    # Account interpreter steps as if the loop ran scalar, so CPU-baseline
-    # time models are independent of this fast path.
-    interp.steps += trips * max(1, len(body.ops))
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Reduction fast paths
-# ---------------------------------------------------------------------------
-
-
-def _dtype_for(ty) -> np.dtype:
-    from repro.ir.types import FloatType
-
-    if isinstance(ty, FloatType):
-        return np.dtype(np.float32 if ty.width == 32 else np.float64)
-    return np.dtype(np.int64)
-
-
-def _as_vector(value, trips: int, dtype) -> np.ndarray:
-    vec = np.asarray(value)
-    if vec.ndim == 0:
-        return np.full(trips, vec[()], dtype=dtype)
-    return vec.astype(dtype, copy=False)
-
-
-def _minmax_nan_hazard(op_name: str, init, vec: np.ndarray) -> bool:
-    """NaNs make ``np.minimum``/``np.maximum`` diverge from the scalar
-    engine's Python ``min``/``max`` (which ignore a NaN rhs); those
-    inputs must take the scalar path."""
-    ufunc = _REDUCERS[op_name]
-    if ufunc is not np.minimum and ufunc is not np.maximum:
-        return False
-    if vec.dtype.kind != "f":
-        return False
-    # init is a scalar for iter_args reductions and the whole accumulator
-    # array for the memref form
-    return bool(np.isnan(vec).any()) or bool(np.isnan(init).any())
-
-
-def _reduce_chain(op_name: str, init, vec: np.ndarray, dtype) -> Any:
-    """Fold ``init ⊕ vec[0] ⊕ vec[1] ⊕ ...`` with the scalar engine's
-    rounding order (ordered accumulate for add/mul)."""
-    ufunc = _REDUCERS[op_name]
-    if ufunc is np.minimum or ufunc is np.maximum:
-        partial = ufunc.reduce(vec)
-        return ufunc(np.asarray(init).astype(dtype, copy=False)[()], partial)
-    seq = np.empty(len(vec) + 1, dtype=dtype)
-    seq[0] = init
-    seq[1:] = vec
-    return ufunc.accumulate(seq)[-1]
-
-
-def _to_python(value, ty):
-    from repro.ir.types import FloatType
-
-    if isinstance(ty, FloatType):
-        return float(value)
-    return int(value)
-
-
-def try_vectorized_reduction(
-    interp, loop: Operation, env, lb: int, ub: int, step: int
-) -> list | None:
-    """Execute a recognised reduction loop vectorized.
-
-    Returns the loop's final result values when handled (``[]`` for
-    memref-accumulator loops, which have no results); None means the
-    scalar path must run.
-    """
-    _, mode, plan, program = _classify_guarded(interp, loop, _classify)
-    if mode not in ("iter_reduction", "memref_reduction"):
-        return None
-    trips = _trip_count(lb, ub, step)
-    if trips < _MIN_TRIPS:
-        return None
-    body = loop.regions[0].block
-    ivs = np.arange(lb, lb + trips * step, step, dtype=np.int64)
-    frame = program.run(interp, env, ivs)
-
-    def value(v: SSAValue):
-        slot = program.slots.get(v)
-        if slot is not None:
-            return frame[slot]
-        return interp.get(env, v)
-
-    if mode == "iter_reduction":
-        finals = []
-        for op_name, expr, position in plan.combiners:
-            result_type = loop.results[position].type
-            dtype = _dtype_for(result_type)
-            init = interp.get(env, loop.operands[3 + position])
-            vec = _as_vector(value(expr), trips, dtype)
-            if _minmax_nan_hazard(op_name, init, vec):
-                logger.debug(
-                    "scalar bail-out: %s reduction input contains NaN "
-                    "(np.minimum/np.maximum propagate NaN where the "
-                    "scalar engine's min/max ignore a NaN rhs); "
-                    "rerunning the loop on the scalar tier",
-                    op_name,
-                )
-                return None  # evaluation was side-effect free: rerun scalar
-            reduced = _reduce_chain(op_name, init, vec, dtype)
-            finals.append(_to_python(reduced, result_type))
-        interp.steps += trips * max(1, len(body.ops))
-        return finals
-
-    array = value(plan.acc)
-    dtype = array.dtype
-    index_values = [value(i) for i in plan.indices]
-    vec = _as_vector(value(plan.expr), trips, dtype)
-    if _minmax_nan_hazard(plan.op_name, array, vec):
-        logger.debug(
-            "scalar bail-out: %s reduction input contains NaN "
-            "(np.minimum/np.maximum propagate NaN where the scalar "
-            "engine's min/max ignore a NaN rhs); rerunning the loop on "
-            "the scalar tier",
-            plan.op_name,
-        )
-        return None  # the accumulator is untouched so far: rerun scalar
-    if all(np.ndim(i) == 0 for i in index_values):
-        cell = tuple(int(i) for i in index_values)
-        init = array[cell] if cell else array[()]
-        reduced = _reduce_chain(plan.op_name, init, vec, dtype)
-        if cell:
-            array[cell] = reduced
-        else:
-            array[()] = reduced
-    else:
-        indices = tuple(
-            np.asarray(i) if np.ndim(i) else int(i) for i in index_values
-        )
-        ufunc = _REDUCERS[plan.op_name]
-        ufunc.at(array, indices if len(indices) > 1 else indices[0], vec)
-    interp.steps += trips * max(1, len(body.ops))
-    return []

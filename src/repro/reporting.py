@@ -111,23 +111,22 @@ def relative_difference(ours: float, reference: float) -> float:
     return (reference / ours - 1.0) * 100.0
 
 
-def pass_timing_table(instrumentation) -> str:
-    """Per-pass wall-clock of an instrumented compilation, aggregated by
-    pass name (a :class:`~repro.ir.pass_manager.Instrumentation` consumer
-    — the Figure-2 benchmark prints this next to the stage trace)."""
-    totals: dict[str, tuple[int, float]] = {}
+def pass_table(instrumentation) -> str:
+    """Per-pass summary of an instrumented compilation, aggregated by
+    pass name in first-run order: runs and the op count after the last
+    run (recorded under ``capture_ir``).  Deterministic, unlike the
+    traces' wall-clock ``duration_s`` (a
+    :class:`~repro.ir.pass_manager.Instrumentation` consumer — the
+    Figure-2 benchmark prints this next to the stage trace)."""
+    totals: dict[str, tuple[int, int | None]] = {}
     for trace in instrumentation.pass_traces:
-        runs, seconds = totals.get(trace.pass_name, (0, 0.0))
-        totals[trace.pass_name] = (runs + 1, seconds + trace.duration_s)
+        runs, _ = totals.get(trace.pass_name, (0, None))
+        totals[trace.pass_name] = (runs + 1, trace.ops_after)
     rows = [
-        (name, runs, f"{seconds * 1e3:.3f}")
-        for name, (runs, seconds) in sorted(
-            totals.items(), key=lambda kv: -kv[1][1]
-        )
+        (name, runs, "-" if ops is None else ops)
+        for name, (runs, ops) in totals.items()
     ]
-    return format_table(
-        "Pass timings", ["pass", "runs", "total (ms)"], rows
-    )
+    return format_table("Passes", ["pass", "runs", "ops after"], rows)
 
 
 def stage_trace_table(instrumentation) -> str:

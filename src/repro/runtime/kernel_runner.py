@@ -146,7 +146,7 @@ class KernelRunner:
 
     # -- cycle accounting -------------------------------------------------------------
 
-    def _observe_loop(self, op: Operation, trips: int, count: int = 1) -> None:
+    def _observe_loop(self, op: Operation, trips: int, count: int) -> None:
         """Charge one loop execution (``count`` identical executions when
         the vectorized nest fast path batches its inner loops).  Cycle
         values are integer-valued floats, so ``count * cycles`` is exact

@@ -1,4 +1,4 @@
-"""Rank-3 nest classification: `_nest_vector_plan` on IR fixtures.
+"""Rank-3 nest classification: `classify` on IR fixtures.
 
 The whole-space nest evaluator has three outcomes — elementwise,
 innermost-dim reduction folding, and a *reasoned* bail-out — and each is
@@ -13,7 +13,7 @@ import pytest
 from repro.dialects import arith, builtin, func, memref, omp, scf
 from repro.ir import Builder, Interpreter
 from repro.ir.types import FunctionType, MemRefType, f32
-from repro.ir.vectorize import _nest_vector_plan, loop_vector_mode
+from repro.ir.vectorize import classify, loop_vector_mode
 
 
 def _index_constants(builder, *values):
@@ -102,20 +102,20 @@ def _build_scf_chain_elementwise(n: int):
 class TestClassification:
     def test_rank3_elementwise(self):
         _, nest = _build_rank3_elementwise(8)
-        mode, plan, program, reason = _nest_vector_plan(nest)
+        mode, plan = loop_vector_mode(nest)
         assert mode == "nest_elementwise"
-        assert reason is None
+        assert classify(nest) is plan
         assert len(plan.ivs) == 3 and plan.root_dims == 3
-        assert plan.reduction is None
-        assert program is not None
+        assert plan.folds == ()
+        assert plan.program is not None
 
     def test_rank3_innermost_reduction(self):
         _, nest = _build_rank3_innermost_reduction(8)
-        mode, plan, program, reason = _nest_vector_plan(nest)
+        mode, plan = loop_vector_mode(nest)
         assert mode == "nest_reduction"
-        assert reason is None
-        assert plan.reduction is not None
-        assert plan.reduction.op_name == "arith.addf"
+        assert classify(nest) is plan
+        assert len(plan.folds) == 1
+        assert plan.folds[0].op_name == "arith.addf"
 
     def test_scf_chain_classifies_via_loop_vector_mode(self):
         _, root = _build_scf_chain_elementwise(8)
@@ -147,7 +147,8 @@ class TestReasonedBails:
         inner.insert(memref.Store(av, c_arg, [i, j]))
         inner.insert(omp.YieldOp())
         b.insert(func.ReturnOp())
-        mode, _, _, reason = _nest_vector_plan(nest)
+        mode, _ = loop_vector_mode(nest)
+        reason = classify(nest)
         assert mode is None
         assert reason == "a buffer is both loaded and stored in the nest body" or (
             "cover" in reason
@@ -172,7 +173,8 @@ class TestReasonedBails:
         inner.insert(memref.Store(v, fn.body.args[0], [coupled, k, k]))
         inner.insert(omp.YieldOp())
         b.insert(func.ReturnOp())
-        mode, _, _, reason = _nest_vector_plan(nest)
+        mode, _ = loop_vector_mode(nest)
+        reason = classify(nest)
         assert mode is None
         assert reason == "store subscript couples two IVs"
 
@@ -200,7 +202,8 @@ class TestReasonedBails:
         inner.insert(memref.Store(acc, s_arg, [i]))
         inner.insert(omp.YieldOp())
         b.insert(func.ReturnOp())
-        mode, _, _, reason = _nest_vector_plan(nest)
+        mode, _ = loop_vector_mode(nest)
+        reason = classify(nest)
         assert mode is None
         assert reason == "accumulator subscripts do not cover the outer nest dims"
 
@@ -228,7 +231,8 @@ class TestReasonedBails:
         )
         inner.insert(scf.Yield())
         b.insert(func.ReturnOp())
-        mode, _, _, reason = _nest_vector_plan(root)
+        mode, _ = loop_vector_mode(root)
+        reason = classify(root)
         assert mode is None
         assert reason == (
             "nested loop bounds vary with an outer induction variable"
@@ -272,7 +276,8 @@ class TestReasonedBails:
             return module, nest
 
         module, nest = build()
-        mode, _, _, reason = _nest_vector_plan(nest)
+        mode, _ = loop_vector_mode(nest)
+        reason = classify(nest)
         assert mode is None, (mode, reason)
 
         rng = np.random.default_rng(71)
@@ -304,7 +309,8 @@ class TestReasonedBails:
         Builder.at_end(if_op.else_block).insert(scf.Yield())
         inner.insert(omp.YieldOp())
         b.insert(func.ReturnOp())
-        mode, _, _, reason = _nest_vector_plan(nest)
+        mode, _ = loop_vector_mode(nest)
+        reason = classify(nest)
         assert mode is None
         assert reason == "body has nested regions or unsupported ops"
 
@@ -440,10 +446,10 @@ def _build_rank2_scatter(n: int):
 class TestNestScatter:
     def test_classifies_nest_scatter(self):
         _, nest = _build_rank2_scatter(16)
-        mode, plan, program, reason = _nest_vector_plan(nest)
+        mode, plan = loop_vector_mode(nest)
         assert mode == "nest_scatter"
-        assert reason is None
-        assert plan.scatter is not None
+        assert classify(nest) is plan
+        assert plan.deferred
 
     def test_permutation_rows_bit_identical(self):
         n = 16

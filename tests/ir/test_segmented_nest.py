@@ -105,14 +105,14 @@ class TestClassification:
         mode, plan = loop_vector_mode(outer)
         assert mode == "nest_segmented"
         # affine bounds need no runtime offset proof
-        assert plan.needs_monotone == ()
+        assert plan.ragged.needs_monotone == ()
 
     def test_csr_offsets_classify_segmented_with_monotone_proof(self):
         _, outer = _build_csr(64)
         mode, plan = loop_vector_mode(outer)
         assert mode == "nest_segmented"
         # both bounds are loaded from an offset array: runtime-proved
-        assert set(plan.needs_monotone) == {"lb", "ub"}
+        assert set(plan.ragged.needs_monotone) == {"lb", "ub"}
 
 
 class TestRuntimeEquivalence:

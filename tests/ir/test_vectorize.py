@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.dialects import arith, builtin, func, memref, scf
 from repro.ir import Builder, Interpreter
-from repro.ir.vectorize import _loop_is_vectorizable, try_vectorized_loop
+from repro.ir.vectorize import loop_vector_mode, run_vectorized
 from repro.ir.types import FunctionType, MemRefType, f32
 
 
@@ -41,7 +41,7 @@ def build_elementwise_module(n: int, op_cls):
 class TestEligibility:
     def test_elementwise_is_vectorizable(self):
         _, loop = build_elementwise_module(128, arith.AddF)
-        assert _loop_is_vectorizable(loop)
+        assert loop_vector_mode(loop)[0] == "elementwise"
 
     def test_reduction_is_not(self):
         """s[] += x[i]: rank-0 store -> carried dependence -> scalar."""
@@ -63,7 +63,7 @@ class TestEligibility:
         inner.insert(memref.Store(acc, s, []))
         inner.insert(scf.Yield())
         b.insert(func.ReturnOp())
-        assert not _loop_is_vectorizable(loop)
+        assert loop_vector_mode(loop)[0] != "elementwise"
 
     def test_nested_region_is_not(self):
         module = builtin.ModuleOp()
@@ -81,7 +81,7 @@ class TestEligibility:
         Builder.at_end(if_op.else_block).insert(scf.Yield())
         inner.insert(scf.Yield())
         b.insert(func.ReturnOp())
-        assert not _loop_is_vectorizable(loop)
+        assert loop_vector_mode(loop)[0] != "elementwise"
 
     def test_short_loop_stays_scalar(self):
         module, loop = build_elementwise_module(8, arith.AddF)
@@ -89,11 +89,11 @@ class TestEligibility:
         y = np.zeros(8, np.float32)
         interp = Interpreter(module)
         env = {}
-        # short trip count: handler declines (returns False)
+        # short trip count: the vectorizer declines (returns None)
         fn = module.body.first_op
         env[fn.body.args[0]] = x
         env[fn.body.args[1]] = y
-        assert not try_vectorized_loop(interp, loop, env, 0, 8, 1)
+        assert run_vectorized(interp, loop, env, [(0, 8, 1)]) is None
 
 
 @pytest.mark.parametrize("op_cls", [arith.AddF, arith.MulF, arith.SubF, arith.DivF])
@@ -188,7 +188,7 @@ class TestInvariantStoreDim:
 
     def test_is_vectorizable(self):
         _, loop = _row_update_module(128)
-        assert _loop_is_vectorizable(loop)
+        assert loop_vector_mode(loop)[0] == "elementwise"
 
     def test_bit_identical(self):
         n = 128
@@ -223,7 +223,7 @@ class TestInvariantStoreDim:
         inner.insert(memref.Store(v, fn.body.args[0], [i2, i3]))
         inner.insert(scf.Yield())
         b.insert(func.ReturnOp())
-        assert not _loop_is_vectorizable(loop)
+        assert loop_vector_mode(loop)[0] != "elementwise"
 
 
 def _gather_module(n: int):
@@ -257,7 +257,7 @@ def _gather_module(n: int):
 class TestGatherLoads:
     def test_is_vectorizable(self):
         _, loop = _gather_module(128)
-        assert _loop_is_vectorizable(loop)
+        assert loop_vector_mode(loop)[0] == "elementwise"
 
     def test_bit_identical(self):
         n = 128
@@ -278,10 +278,8 @@ class TestGatherLoads:
         """y[idx[i]] = x[i]: an indirect *store* could collide, so it is
         excluded from the elementwise path — it classifies as the
         runtime-proved ``scatter_store`` mode instead."""
-        from repro.ir.vectorize import loop_vector_mode
-
         _, loop = _scatter_module(128)
-        assert not _loop_is_vectorizable(loop)
+        assert loop_vector_mode(loop)[0] != "elementwise"
         mode, plan = loop_vector_mode(loop)
         assert mode == "scatter_store"
         # the single store's subscript has no static (affine) proof, so
@@ -358,8 +356,6 @@ class TestScatterStores:
     def test_permutation_scatter_bit_identical(self):
         n = 256
         module, loop = _scatter_module(n, scale=True)
-        from repro.ir.vectorize import loop_vector_mode
-
         mode, _ = loop_vector_mode(loop)
         assert mode == "scatter_store"
         rng = np.random.default_rng(17)
@@ -420,8 +416,6 @@ class TestScatterStores:
     def test_accumulate_scatter_is_memref_reduction(self):
         """h[idx[i]] += w[i] with separate load/store index chains is the
         collision-tolerant ``ufunc.at`` reduction — no proof needed."""
-        from repro.ir.vectorize import loop_vector_mode
-
         n, nb = 512, 16
         module, loop = _accumulate_scatter_module(n, nb)
         mode, _ = loop_vector_mode(loop)
@@ -443,8 +437,6 @@ class TestScatterStores:
     def test_stored_index_array_is_not_indirect(self):
         """Storing to the index array inside the body voids the gather
         proof: the loop must not classify as a scatter."""
-        from repro.ir.vectorize import loop_vector_mode
-
         n = 128
         module = builtin.ModuleOp()
         from repro.ir.types import i32
@@ -478,8 +470,6 @@ class TestScatterStores:
     def test_scatter_read_back_stays_scalar(self):
         """A body that also *reads* the scattered-to buffer cannot defer
         its stores — must not classify."""
-        from repro.ir.vectorize import loop_vector_mode
-
         n = 128
         module = builtin.ModuleOp()
         from repro.ir.types import i32
@@ -516,7 +506,7 @@ class TestBailOutLogging:
     def test_scalar_bail_out_is_logged(self, caplog):
         import logging
 
-        from repro.ir.vectorize import invalidate_analysis, loop_vector_mode
+        from repro.ir.vectorize import invalidate_analysis
 
         module = builtin.ModuleOp()
         fn = func.FuncOp("f", FunctionType([MemRefType(f32, [])], []))
@@ -653,7 +643,7 @@ class TestOverlappingStores:
         inner.insert(memref.Store(v2, fn.body.args[0], [shifted]))
         inner.insert(scf.Yield())
         b.insert(func.ReturnOp())
-        assert not _loop_is_vectorizable(loop)
+        assert loop_vector_mode(loop)[0] != "elementwise"
 
     def test_same_cell_stores_still_vectorize(self):
         """Two stores to the identical subscript keep body op order per
@@ -676,7 +666,7 @@ class TestOverlappingStores:
         inner.insert(memref.Store(doubled, y, [loop.induction_var]))
         inner.insert(scf.Yield())
         b.insert(func.ReturnOp())
-        assert _loop_is_vectorizable(loop)
+        assert loop_vector_mode(loop)[0] == "elementwise"
         rng_local = np.random.default_rng(13)
         x_data = rng_local.standard_normal(n).astype(np.float32)
         y_vec = np.zeros(n, np.float32)
@@ -722,8 +712,6 @@ class TestAnalysisCacheScoping:
         assert not hasattr(vectorize_mod, "_analysis_cache")
 
     def test_entries_live_on_the_owning_root(self):
-        from repro.ir.vectorize import loop_vector_mode
-
         m1, l1 = build_elementwise_module(128, arith.AddF)
         m2, l2 = build_elementwise_module(128, arith.MulF)
         loop_vector_mode(l1)
@@ -736,8 +724,6 @@ class TestAnalysisCacheScoping:
     def test_cached_plans_do_not_outlive_their_program(self):
         import gc
         import weakref
-
-        from repro.ir.vectorize import loop_vector_mode
 
         module, loop = self._reduction_module()
         mode, plan = loop_vector_mode(loop)

@@ -7,7 +7,7 @@ classes already pinned in ``test_vectorize.py`` (generic
 no-classification, scatter injectivity, iter-args NaN min/max, rank-n
 ``omp.loop_nest``) are complemented here by the remaining ones:
 
-* memref-accumulator NaN min/max (``try_vectorized_reduction``);
+* memref-accumulator NaN min/max (rank-1 ``memref_reduction``);
 * nest-reduction NaN min/max (single-chunk whole-space path);
 * chunked min/max nest exceeding the whole-space size bound;
 * a perfect ``scf.for`` chain whose nest plan bails (the ``rank-k
@@ -124,12 +124,10 @@ class TestNestReductionNanBail:
             return [a, np.full(n, 1e5, dtype=np.float32)]
 
         # sanity: without the NaN the nest classifies as a min reduction
-        from repro.ir.vectorize import _nest_vector_plan
-
         _, nest = _build_rank2_min_nest(n)
-        mode, plan, _, _ = _nest_vector_plan(nest)
+        mode, plan = loop_vector_mode(nest)
         assert mode == "nest_reduction"
-        assert plan.reduction.op_name == "arith.minimumf"
+        assert plan.folds[0].op_name == "arith.minimumf"
 
         fast, scalar, records = _run_both_tiers(build, args, caplog)
         assert fast[1].tobytes() == scalar[1].tobytes()
@@ -171,10 +169,10 @@ class TestScfChainNestBail:
     def test_chain_bail_logged_and_scalar_identical(self, caplog):
         """A perfect scf.for chain whose store couples both IVs bails
         with a reasoned log, then reruns scalar with last-write-wins
-        order preserved bit for bit.  Since PR 7 the segmented
-        classifier inspects the pair after the whole-space nest path
-        gives up, so the recorded reason is its ``segmented nest``
-        bail (the coupled store is no per-row accumulator)."""
+        order preserved bit for bit.  The segmented classifier inspects
+        the pair after the whole-space nest path gives up, so the log
+        also carries its ``segmented nest`` reason (the coupled store is
+        no per-row accumulator)."""
         n = 16
 
         def build():

@@ -72,7 +72,7 @@ class TestVectorizerDegradation:
             "f", x, y_scalar
         )
 
-        monkeypatch.setattr(vectorize, "_classify", _crash)
+        monkeypatch.setattr(vectorize, "classify", _crash)
         module2 = _build_elementwise(n)
         y_degraded = np.zeros(n, np.float32)
         interp = Interpreter(module2, compiled=False, vectorize=True)
@@ -92,7 +92,7 @@ class TestVectorizerDegradation:
         not one per call."""
         n = 128
         x = np.ones(n, np.float32)
-        monkeypatch.setattr(vectorize, "_classify", _crash)
+        monkeypatch.setattr(vectorize, "classify", _crash)
         module = _build_elementwise(n)
         interp = Interpreter(module, compiled=False, vectorize=True)
         with caplog.at_level(logging.WARNING, logger="repro.reliability"):
@@ -152,8 +152,7 @@ class TestDegradationInRunReport:
         # fresh cache: the program's loops were classified by earlier
         # runs, and cached classifications short-circuit the crash
         vectorize.invalidate_analysis(saxpy_program.device_module)
-        monkeypatch.setattr(vectorize, "_classify", _crash)
-        monkeypatch.setattr(vectorize, "_classify_nest", _crash)
+        monkeypatch.setattr(vectorize, "classify", _crash)
         candidate = run_saxpy(saxpy_program, compiled=False)
         assert_bit_identical(saxpy_baseline, candidate)
         report = candidate[1].report
