@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import HandwrittenSaxpy, HandwrittenSgesl
-from repro.pipeline import CompiledProgram, compile_fortran
+from repro.session import CompiledProgram, Session
 from repro.workloads import (
     SAXPY_SOURCE,
     SGESL_SOURCE,
@@ -92,17 +92,17 @@ def emit(capsys, name: str, table: str) -> None:
 
 @pytest.fixture(scope="session")
 def saxpy_program() -> CompiledProgram:
-    return compile_fortran(SAXPY_SOURCE)
+    return Session(SAXPY_SOURCE).program()
 
 
 @pytest.fixture(scope="session")
 def sgesl_program() -> CompiledProgram:
-    return compile_fortran(SGESL_SOURCE)
+    return Session(SGESL_SOURCE).program()
 
 
 @pytest.fixture(scope="session")
 def sgesl_update_program() -> CompiledProgram:
-    return compile_fortran(SGESL_UPDATE_SOURCE)
+    return Session(SGESL_UPDATE_SOURCE).program()
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ Run:  python examples/nested_data_regions.py
 
 import numpy as np
 
-from repro.pipeline import compile_fortran
+from repro.session import Session
 
 WITH_REGION = """
 subroutine stages(x, y, n)
@@ -61,7 +61,7 @@ end subroutine stages
 
 
 def run(source: str, n: int):
-    program = compile_fortran(source)
+    program = Session(source).program()
     rng = np.random.default_rng(3)
     x = rng.standard_normal(n).astype(np.float32)
     y = np.zeros(n, dtype=np.float32)

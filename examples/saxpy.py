@@ -14,13 +14,13 @@ import sys
 import numpy as np
 
 from repro.baselines import HandwrittenSaxpy
-from repro.pipeline import compile_fortran
+from repro.session import Session
 from repro.workloads import SAXPY_SIZES, SAXPY_SOURCE, SaxpyCase, saxpy_reference
 
 
 def main() -> None:
     sizes = SAXPY_SIZES[:2] if "--quick" in sys.argv else SAXPY_SIZES
-    program = compile_fortran(SAXPY_SOURCE)
+    program = Session(SAXPY_SOURCE).program()
     baseline = HandwrittenSaxpy.build()
 
     header = f"{'N':>10} | {'Fortran OpenMP (ms)':>20} | {'Hand HLS (ms)':>15} | {'diff':>7}"

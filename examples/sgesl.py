@@ -14,13 +14,13 @@ import sys
 import numpy as np
 
 from repro.baselines import HandwrittenSgesl
-from repro.pipeline import compile_fortran
+from repro.session import Session
 from repro.workloads import SGESL_SIZES, SGESL_SOURCE, SgeslCase, sgesl_reference
 
 
 def main() -> None:
     sizes = SGESL_SIZES[:2] if "--quick" in sys.argv else SGESL_SIZES
-    program = compile_fortran(SGESL_SOURCE)
+    program = Session(SGESL_SOURCE).program()
     baseline = HandwrittenSgesl.build()
 
     header = f"{'N':>6} | {'Fortran OpenMP (ms)':>20} | {'Hand HLS (ms)':>15} | {'diff':>7}"

@@ -8,7 +8,8 @@ backend bridge, a simulated Vitis toolchain and U280 board, and the
 OpenCL-style host runtime.
 
 The public API is the staged session (each stage computed once, cached
-by its options, later stages re-runnable with different overrides)::
+by its options, later stages re-runnable with different overrides); a
+one-shot compile is ``Session(source).program()``::
 
     from repro import KernelOverrides, Session
 
@@ -19,8 +20,7 @@ by its options, later stages re-runnable with different overrides)::
 
     wide = session.program(KernelOverrides(simdlen=8))  # device build only
 
-:func:`compile_fortran` remains as the one-shot convenience over a fresh
-session.  Pass pipelines are declarative
+Pass pipelines are declarative
 (``PassManager.parse("lower-omp-to-hls{reduction_copies=4},cse")``) and
 observable through :class:`Instrumentation` (stage snapshots, per-pass
 timing, artifact-build counters).
@@ -38,7 +38,6 @@ build) instead of recompiling::
 
 from repro.analysis import Diagnostic, DiagnosticEngine
 from repro.ir.pass_manager import Instrumentation, PassManager, PipelineStage
-from repro.pipeline import CompiledProgram, compile_fortran, compile_workload
 from repro.service import (
     ArtifactKey,
     ArtifactStore,
@@ -46,6 +45,7 @@ from repro.service import (
     CompileService,
 )
 from repro.session import (
+    CompiledProgram,
     DeviceBuild,
     FrontendArtifact,
     HostDeviceArtifact,
@@ -56,7 +56,7 @@ from repro.session import (
     host_device_pipeline,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ArtifactKey",
@@ -75,8 +75,6 @@ __all__ = [
     "PipelineStage",
     "Session",
     "TargetConfig",
-    "compile_fortran",
-    "compile_workload",
     "device_pipeline",
     "host_device_pipeline",
     "__version__",

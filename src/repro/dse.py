@@ -313,6 +313,9 @@ def explore(
         session.target if session is not None else TargetConfig(board=board)
     )
 
+    if result_store is not None:
+        result_store.loads = result_store.saves = 0
+
     # Resume: load every already-evaluated point from the result store.
     records: dict[tuple[int, int, int], dict] = {}
     digests: dict[tuple[int, int, int], str] = {}

@@ -6,8 +6,8 @@ computed once and cached on the session keyed by its options::
 
     Session(source)
       .frontend()                    # Flang + [3]: source -> core+omp IR
-      .host_device(policy)           # data/kernel passes, module split,
-                                     #   host C++  (keyed by policy)
+      .host_device()                 # data/kernel passes, module split,
+                                     #   host C++  (built once)
       .device_build(KernelOverrides) # omp->HLS + Vitis  (keyed by overrides)
       .program(KernelOverrides)      # assembled CompiledProgram view
 
@@ -21,15 +21,17 @@ round-trip), and a session-wide
 :class:`~repro.ir.pass_manager.Instrumentation` records stage snapshots,
 per-pass timing and artifact-build counters.
 
-:func:`repro.pipeline.compile_fortran` remains as a one-shot shim over
-this API.
+A one-shot compile is ``Session(source).program()``.  The config values
+(:class:`TargetConfig`, :class:`KernelOverrides`) are frozen: each is a
+cache and digest key, so a different setting is a new instance
+(``dataclasses.replace``), and a different memory-space policy is a new
+session.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 
 from repro.backend.host_codegen import generate_host_code
@@ -105,43 +107,24 @@ def _config_digest(label: str, value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _warn_deprecated_mutation(cls_name: str) -> None:
-    warnings.warn(
-        f"mutating a {cls_name} is deprecated: it is a frozen cache/"
-        "digest key — build a new instance (dataclasses.replace) "
-        "instead; mutation after a stage was cached aliases cache "
-        "entries",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _allow_deprecated_mutation(cls: type) -> type:
-    """Legacy escape hatch: assignment to the frozen config dataclasses
-    used to work; it now warns loudly but still takes effect so old
-    call sites keep running while they migrate."""
-
-    def __setattr__(self, name, value):
-        _warn_deprecated_mutation(cls.__name__)
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        _warn_deprecated_mutation(cls.__name__)
-        object.__delattr__(self, name)
-
-    cls.__setattr__ = __setattr__
-    cls.__delattr__ = __delattr__
-    return cls
-
-
 @dataclass(frozen=True)
 class TargetConfig:
-    """Session-wide target description: the board plus the default
-    memory-space policy used when a stage is built without an explicit
-    policy."""
+    """Session-wide target description: the board plus the memory-space
+    policy mode (``"single"`` or ``"round_robin"``; ``None`` means
+    ``"single"``)."""
 
     board: U280Board | None = None
-    memory_space_policy: "MemorySpacePolicy | str | None" = None
+    memory_space_policy: str | None = None
+
+    def __post_init__(self):
+        policy = self.memory_space_policy
+        if policy is not None:
+            if not isinstance(policy, str):
+                raise TypeError(
+                    "TargetConfig.memory_space_policy must be a mode "
+                    f"string, not {type(policy).__name__}"
+                )
+            MemorySpacePolicy(mode=policy)  # raises on an unknown mode
 
     def resolved_board(self) -> U280Board:
         return self.board or U280Board()
@@ -149,30 +132,10 @@ class TargetConfig:
     def digest(self) -> str:
         """Stable content digest of this target (sorted, versioned field
         serialization) — one component of the compile service's
-        content-addressed artifact keys.
-
-        A caller-supplied *mutable* :class:`MemorySpacePolicy` object is
-        snapshotted (mode, banks, current assignments) with a
-        :class:`DeprecationWarning`: later mutation of the object would
-        silently invalidate the digest, so pass the policy mode string
-        instead.
-        """
-        policy = self.memory_space_policy
-        if policy is not None and not isinstance(policy, str):
-            warnings.warn(
-                "TargetConfig.digest() over a mutable MemorySpacePolicy "
-                "object snapshots its current state; pass the policy "
-                "mode string for a stable content key",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = (
-                f"{policy.mode}/banks={policy.num_banks}/"
-                f"assigned={sorted(policy._assigned.items())!r}"
-            )
-        board = self.resolved_board()
+        content-addressed artifact keys."""
         text = (
-            f"board={_canonical_value(board)}|policy={policy!r}"
+            f"board={_canonical_value(self.resolved_board())}"
+            f"|policy={self.memory_space_policy!r}"
         )
         return _config_digest("TargetConfig", text)
 
@@ -211,52 +174,20 @@ class KernelOverrides:
         return _config_digest("KernelOverrides", self)
 
 
-_allow_deprecated_mutation(TargetConfig)
-_allow_deprecated_mutation(KernelOverrides)
-
-
-def _policy_key(policy: "MemorySpacePolicy | str | None") -> tuple:
-    if policy is None:
-        return ("single", 16)
-    if isinstance(policy, str):
-        return (policy, 16)
-    # A caller-supplied policy object carries mutable bank-assignment
-    # state, so it must never alias a cache entry built from a fresh
-    # policy of the same mode: key it by identity.
-    return (policy.mode, policy.num_banks, id(policy))
-
-
-def _policy_instance(
-    policy: "MemorySpacePolicy | str | None",
-) -> MemorySpacePolicy:
-    """A fresh (or caller-supplied) policy for one host/device build.
-
-    String modes always get a fresh instance so bank assignment restarts
-    per build; a caller's :class:`MemorySpacePolicy` object is used as-is
-    (its assignments are part of what the caller configured).
-    """
-    if policy is None:
-        return MemorySpacePolicy()
-    if isinstance(policy, str):
-        return MemorySpacePolicy(mode=policy)
-    return policy
-
-
 # ---------------------------------------------------------------------------
 # Declarative stage pipelines
 # ---------------------------------------------------------------------------
 
 
 def host_device_pipeline(
-    policy: "MemorySpacePolicy | str | None" = None,
+    policy: str | None = None,
     *,
     instrumentation: Instrumentation | None = None,
-    verify_each: bool = True,
 ) -> PassManager:
     """Stages 2-4 of Figure 2: data mapping, target regions, extraction."""
-    pm = PassManager(verify_each=verify_each, instrumentation=instrumentation)
+    pm = PassManager(instrumentation=instrumentation)
     pm.add(
-        LowerOmpMappedDataPass(_policy_instance(policy)),
+        LowerOmpMappedDataPass(policy),
         LowerOmpTargetRegionPass(),
         ExtractDeviceModulePass(),
     )
@@ -267,11 +198,10 @@ def device_pipeline(
     overrides: KernelOverrides | None = None,
     *,
     instrumentation: Instrumentation | None = None,
-    verify_each: bool = True,
 ) -> PassManager:
     """Stage 5 (device side): omp->HLS lowering plus cleanup."""
     o = overrides or KernelOverrides()
-    pm = PassManager(verify_each=verify_each, instrumentation=instrumentation)
+    pm = PassManager(instrumentation=instrumentation)
     pm.add(
         LowerOmpToHlsPass(
             reduction_copies=o.reduction_copies,
@@ -310,7 +240,6 @@ class HostDeviceArtifact:
     host_module: builtin.ModuleOp
     device_module: builtin.ModuleOp
     host_cpp: str
-    policy_key: tuple
     snapshots: list[PipelineStage] = field(default_factory=list)
 
 
@@ -402,16 +331,14 @@ class Session:
         *,
         target: TargetConfig | None = None,
         instrumentation: Instrumentation | None = None,
-        verify_each: bool = True,
     ):
         self.source = source
         self.target = target or TargetConfig()
         self.board = self.target.resolved_board()
         self.instrumentation = instrumentation or Instrumentation()
-        self.verify_each = verify_each
         self._frontend: FrontendArtifact | None = None
-        self._host_device: dict[tuple, HostDeviceArtifact] = {}
-        self._builds: dict[tuple, DeviceBuild] = {}
+        self._host_device: HostDeviceArtifact | None = None
+        self._builds: dict[str, DeviceBuild] = {}
 
     # -- stage 1 ---------------------------------------------------------------------
 
@@ -448,25 +375,16 @@ class Session:
 
     # -- stages 2-5 (host) -------------------------------------------------------------
 
-    def host_device(
-        self, memory_space_policy: "MemorySpacePolicy | str | None" = None
-    ) -> HostDeviceArtifact:
-        """Device-dialect lowering, module split and host C++ generation,
-        cached per memory-space policy."""
-        policy = (
-            memory_space_policy
-            if memory_space_policy is not None
-            else self.target.memory_space_policy
-        )
-        key = _policy_key(policy)
-        if key not in self._host_device:
+    def host_device(self) -> HostDeviceArtifact:
+        """Device-dialect lowering, module split and host C++ generation
+        under the target's memory-space policy (once)."""
+        if self._host_device is None:
             try:
                 frontend = self.frontend()
                 instr = self.instrumentation
                 module = frontend.module.clone()
                 pm = host_device_pipeline(
-                    policy, instrumentation=instr,
-                    verify_each=self.verify_each,
+                    self.target.memory_space_policy, instrumentation=instr
                 )
                 pm.run(module)
                 snapshots = []
@@ -475,40 +393,39 @@ class Session:
                     snapshots.append(snap)
                 host_module, device_module = split_host_device(module)
                 instr.count("host_device_builds")
-                self._host_device[key] = HostDeviceArtifact(
+                self._host_device = HostDeviceArtifact(
                     host_module=host_module,
                     device_module=device_module,
                     host_cpp=generate_host_code(host_module),
-                    policy_key=key,
                     snapshots=snapshots,
                 )
             except BaseException as error:
-                self._host_device.pop(key, None)
+                self._host_device = None
                 if isinstance(error, ReproError) or not isinstance(
                     error, Exception
                 ):
                     raise
                 raise wrap_error(
-                    error, LoweringError, context=f"host_device {key!r}"
+                    error,
+                    LoweringError,
+                    context="host_device policy="
+                    f"{self.target.memory_space_policy!r}",
                 ) from error
-        return self._host_device[key]
+        return self._host_device
 
     # -- stages 5 (device) + 6 ---------------------------------------------------------
 
     def device_build(
-        self,
-        overrides: KernelOverrides | None = None,
-        *,
-        memory_space_policy: "MemorySpacePolicy | str | None" = None,
+        self, overrides: KernelOverrides | None = None
     ) -> DeviceBuild:
-        """HLS lowering + simulated Vitis synthesis, cached per
-        (policy, overrides) — the only work a DSE sweep repeats."""
+        """HLS lowering + simulated Vitis synthesis, cached per overrides
+        — the only work a DSE sweep repeats."""
         overrides = overrides or KernelOverrides()
-        host = self.host_device(memory_space_policy)
+        host = self.host_device()
         # Cache key: the stage-content digest, not the object — two
         # override instances with equal fields share one build, and the
         # same key addresses the artifact in the cross-process store.
-        key = (host.policy_key, overrides.digest())
+        key = overrides.digest()
         if key not in self._builds:
             # Failure discipline: a raise anywhere mid-build must leave
             # the session reusable — the key is evicted (never a partial
@@ -517,10 +434,7 @@ class Session:
             try:
                 instr = self.instrumentation
                 device_module = host.device_module.clone()
-                pm = device_pipeline(
-                    overrides, instrumentation=instr,
-                    verify_each=self.verify_each,
-                )
+                pm = device_pipeline(overrides, instrumentation=instr)
                 pm.run(device_module)
                 snapshots = []
                 snap = instr.snapshot("device-hls", device_module)
@@ -562,16 +476,11 @@ class Session:
     # -- assembly ----------------------------------------------------------------------
 
     def program(
-        self,
-        overrides: KernelOverrides | None = None,
-        *,
-        memory_space_policy: "MemorySpacePolicy | str | None" = None,
+        self, overrides: KernelOverrides | None = None
     ) -> CompiledProgram:
         """A :class:`CompiledProgram` view over the cached artifacts."""
         frontend = self.frontend()
-        build = self.device_build(
-            overrides, memory_space_policy=memory_space_policy
-        )
+        build = self.device_build(overrides)
         host = build.host
         return CompiledProgram(
             host_module=host.host_module,
@@ -587,23 +496,12 @@ class Session:
 
     # -- cache management --------------------------------------------------------------
 
-    def release_build(
-        self,
-        overrides: KernelOverrides | None = None,
-        *,
-        memory_space_policy: "MemorySpacePolicy | str | None" = None,
-    ) -> bool:
+    def release_build(self, overrides: KernelOverrides | None = None) -> bool:
         """Drop one device build from the cache (the bitstream and the
         lowered module are the heavy artifacts; a sweep that has already
         extracted its numbers releases each point to keep memory flat).
         Returns whether a cached build was evicted."""
-        overrides = overrides or KernelOverrides()
-        policy = (
-            memory_space_policy
-            if memory_space_policy is not None
-            else self.target.memory_space_policy
-        )
-        key = (_policy_key(policy), overrides.digest())
+        key = (overrides or KernelOverrides()).digest()
         return self._builds.pop(key, None) is not None
 
     # -- introspection -----------------------------------------------------------------

@@ -53,6 +53,11 @@ class MemorySpacePolicy:
     num_banks: int = 16
 
     def __post_init__(self):
+        if self.mode not in ("single", "round_robin"):
+            raise ValueError(
+                f"unknown memory-space policy {self.mode!r}: expected "
+                "'single' or 'round_robin'"
+            )
         self._assigned: dict[str, int] = {}
         self._next = 1
 

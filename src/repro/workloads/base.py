@@ -10,7 +10,8 @@ bit).
 
 The registry is the single list of workloads consumed by
 
-* :mod:`repro.pipeline` users (compile + run any workload by name),
+* library users (``get_workload(name).compile()`` is
+  ``Session(source).program()`` over the workload's source),
 * the cross-tier conformance suite (``tests/property``),
 * the DSE sweep (:func:`repro.dse.explore_workload`),
 * :func:`repro.reporting.gallery_table`, and
@@ -25,9 +26,8 @@ from typing import TYPE_CHECKING, Callable, Iterator
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.pipeline import CompiledProgram
     from repro.runtime.executor import ExecutionResult
-    from repro.session import Session
+    from repro.session import CompiledProgram
 
 
 @dataclass
@@ -73,17 +73,12 @@ class GalleryWorkload:
 
     # -- conveniences ---------------------------------------------------------------
 
-    def compile(self, **kwargs) -> "CompiledProgram":
-        from repro.pipeline import compile_fortran
-
-        return compile_fortran(self.source, **kwargs)
-
-    def session(self, **kwargs) -> "Session":
-        """A staged :class:`~repro.session.Session` over this workload's
-        source — the entry point for DSE sweeps with artifact reuse."""
+    def compile(self) -> "CompiledProgram":
+        """``Session(source).program()``: a one-shot compile of the
+        default build."""
         from repro.session import Session
 
-        return Session(self.source, **kwargs)
+        return Session(self.source).program()
 
     def run(
         self,

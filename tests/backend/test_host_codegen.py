@@ -3,8 +3,8 @@
 import pytest
 
 from repro.backend.host_codegen import cpp_type
-from repro.pipeline import compile_fortran
 from repro.ir.types import IndexType, MemRefType, f32, f64, i1, i32
+from repro.session import Session
 
 
 class TestTypes:
@@ -21,7 +21,7 @@ class TestTypes:
 def saxpy_cpp():
     from tests.conftest import SAXPY_MINI
 
-    return compile_fortran(SAXPY_MINI).host_cpp
+    return Session(SAXPY_MINI).program().host_cpp
 
 
 class TestOpenClMapping:
@@ -84,7 +84,7 @@ program t
 !$omp end target parallel do
 end program t
 """
-        cpp = compile_fortran(source).host_cpp
+        cpp = Session(source).program().host_cpp
         assert "for (int64_t" in cpp
 
     def test_print_statement(self):
@@ -96,5 +96,5 @@ program t
   print *, 'value', i
 end program t
 """
-        cpp = compile_fortran(source).host_cpp
+        cpp = Session(source).program().host_cpp
         assert "std::cout" in cpp and '"value"' in cpp

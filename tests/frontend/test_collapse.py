@@ -208,13 +208,13 @@ class TestHostCollapse:
         host C++ printer and execute tier-identically."""
         import numpy as np
 
-        from repro.pipeline import compile_fortran
+        from repro.session import Session
 
         source = NEST_2D.replace(
             "!$omp target parallel do collapse(2)",
             "!$omp parallel do collapse(2)",
         ).replace("!$omp end target parallel do", "!$omp end parallel do")
-        program = compile_fortran(source)
+        program = Session(source).program()
         assert program.host_cpp.count("for (int64_t") >= 2
         n = 12
         a = np.arange(n * n, dtype=np.float32).reshape(n, n)

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.frontend import compile_to_core
 from repro.ir import Interpreter
-from repro.pipeline import compile_fortran
+from repro.session import Session
 
 HOST_PARALLEL = """
 subroutine scale(a, n)
@@ -38,7 +38,7 @@ class TestHostParallelDo:
     def test_full_pipeline_keeps_host_loop(self):
         """With no target region, nothing is offloaded: no kernels, no
         transfers — the loop runs on the host."""
-        program = compile_fortran(HOST_PARALLEL)
+        program = Session(HOST_PARALLEL).program()
         assert program.bitstream.kernels == {}
         a = np.arange(30, dtype=np.float32)
         result = program.executor().run("scale", a, np.array(30, np.int32))
@@ -47,6 +47,6 @@ class TestHostParallelDo:
         assert result.transfers == 0
 
     def test_host_codegen_emits_pragma(self):
-        program = compile_fortran(HOST_PARALLEL)
+        program = Session(HOST_PARALLEL).program()
         assert "#pragma omp parallel" in program.host_cpp
         assert "#pragma omp for" in program.host_cpp

@@ -5,7 +5,7 @@ data mapping and kernel plumbing."""
 import numpy as np
 import pytest
 
-from repro.pipeline import compile_fortran
+from repro.session import Session
 
 BARE_TARGET = """
 subroutine init(a, v, n)
@@ -24,7 +24,7 @@ end subroutine init
 
 @pytest.fixture(scope="module")
 def program():
-    return compile_fortran(BARE_TARGET)
+    return Session(BARE_TARGET).program()
 
 
 def test_compiles_to_one_kernel(program):
@@ -53,10 +53,10 @@ def test_functional(program):
 def test_slower_than_pipelined(program):
     """The paper's point of `parallel do`: without it the kernel loop is
     sequential and substantially slower."""
-    pipelined = compile_fortran(
+    pipelined = Session(
         BARE_TARGET.replace("!$omp target\n", "!$omp target parallel do\n")
         .replace("!$omp end target\n", "!$omp end target parallel do\n")
-    )
+    ).program()
     n = 20_000
     a = np.zeros(n, dtype=np.float32)
     bare_run = program.executor().run(

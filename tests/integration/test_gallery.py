@@ -75,14 +75,3 @@ class TestReporting:
         for name in EXPECTED_NAMES:
             assert name in table
         assert "2-D collapse" in table
-
-
-class TestPipelineEntry:
-    def test_compile_workload_by_name(self):
-        from repro.pipeline import compile_workload
-
-        program = compile_workload("dot")
-        workload = get_workload("dot")
-        result, instance = workload.run(program)
-        workload.check(instance)
-        assert result.launches == 1

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ir.pass_manager import Instrumentation
-from repro.pipeline import compile_fortran
 from repro.session import Session
 from repro.workloads import SGESL_SOURCE
 from tests.conftest import SAXPY_MINI
@@ -29,7 +28,7 @@ class TestStageCapture:
 
     def test_vitis_does_not_mutate_device_module(self):
         """The LLVM path runs on a clone: hls ops stay in the module."""
-        program = compile_fortran(SAXPY_MINI)
+        program = Session(SAXPY_MINI).program()
         names = {op.name for op in program.device_module.walk()}
         assert "hls.pipeline" in names
         assert "func.call" not in names  # lower-hls-to-func ran on a clone
@@ -38,7 +37,7 @@ class TestStageCapture:
 class TestSgeslHostCode:
     @pytest.fixture(scope="class")
     def cpp(self):
-        return compile_fortran(SGESL_SOURCE).host_cpp
+        return Session(SGESL_SOURCE).program().host_cpp
 
     def test_all_units_emitted(self, cpp):
         assert "void sgesl(" in cpp
@@ -58,7 +57,7 @@ class TestSgeslHostCode:
 
 class TestLlvmArtifacts:
     def test_sgesl_kernels_in_llvm(self):
-        program = compile_fortran(SGESL_SOURCE)
+        program = Session(SGESL_SOURCE).program()
         llvm = program.bitstream.llvm_ir
         assert "define void @sgesl_update_kernel_0" in llvm
         assert "define void @sgesl_back_update_kernel_1" in llvm
@@ -67,7 +66,7 @@ class TestLlvmArtifacts:
         assert "source_filename" not in amd  # downgrade stripped it
 
     def test_memory_spaces_in_kernel_signatures(self):
-        program = compile_fortran(SAXPY_MINI)
+        program = Session(SAXPY_MINI).program()
         kernel = program.bitstream.kernels["saxpy_kernel_0"]
         for arg in kernel.func_op.body.args:
             assert arg.type.memory_space == 1
@@ -75,8 +74,8 @@ class TestLlvmArtifacts:
 
 class TestDeterminism:
     def test_compilation_is_deterministic(self):
-        first = compile_fortran(SAXPY_MINI)
-        second = compile_fortran(SAXPY_MINI)
+        first = Session(SAXPY_MINI).program()
+        second = Session(SAXPY_MINI).program()
         from repro.ir import print_op
 
         assert print_op(first.device_module) == print_op(second.device_module)
@@ -85,7 +84,7 @@ class TestDeterminism:
             second.bitstream.utilization().rounded()
 
     def test_execution_is_deterministic(self):
-        program = compile_fortran(SAXPY_MINI)
+        program = Session(SAXPY_MINI).program()
         rng = np.random.default_rng(8)
         x = rng.standard_normal(200).astype(np.float32)
         y = rng.standard_normal(200).astype(np.float32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import HandwrittenSaxpy, HandwrittenSgesl
-from repro.pipeline import compile_fortran
+from repro.session import Session
 from repro.workloads import (
     SAXPY_SOURCE,
     SGESL_SOURCE,
@@ -18,12 +18,12 @@ from repro.workloads import (
 
 @pytest.fixture(scope="module")
 def saxpy_program():
-    return compile_fortran(SAXPY_SOURCE)
+    return Session(SAXPY_SOURCE).program()
 
 
 @pytest.fixture(scope="module")
 def sgesl_program():
-    return compile_fortran(SGESL_SOURCE)
+    return Session(SGESL_SOURCE).program()
 
 
 class TestSaxpy:
@@ -126,9 +126,9 @@ class TestSgefaReference:
 
 class TestCompiledProgramApi:
     def test_run_defaults_to_program_unit(self):
-        program = compile_fortran(
+        program = Session(
             "program p\ninteger :: i\ni = 1\nend program p\n"
-        )
+        ).program()
         result = program.run()
         assert result.launches == 0
 

@@ -1,13 +1,13 @@
-"""Staged-session API: stage caching, artifact reuse, and bit-identical
-back-compat of the :func:`compile_fortran` shim."""
+"""Staged-session API: stage caching, artifact reuse, and the frozen,
+digest-stable config values that key the stage caches."""
 
-import warnings
+import dataclasses
 
 import pytest
 
+import repro
 from repro.ir import print_op
 from repro.ir.pass_manager import Instrumentation
-from repro.pipeline import compile_fortran
 from repro.session import KernelOverrides, Session, TargetConfig
 from repro.transforms import MemorySpacePolicy
 from repro.workloads import SAXPY_SOURCE, get_workload
@@ -21,12 +21,18 @@ class TestStageCaching:
         assert session.counters["frontend_compiles"] == 1
 
     def test_host_device_cached_per_policy(self):
-        session = Session(SAXPY_MINI)
-        single = session.host_device()
-        assert session.host_device() is single
-        robin = session.host_device("round_robin")
-        assert robin is not single
-        assert session.counters["host_device_builds"] == 2
+        """One host build per session; a different policy is a different
+        session (its TargetConfig), never a second cache entry."""
+        single = Session(SAXPY_MINI)
+        robin = Session(
+            SAXPY_MINI, target=TargetConfig(memory_space_policy="round_robin")
+        )
+        for session in (single, robin):
+            assert session.host_device() is session.host_device()
+            assert session.counters["host_device_builds"] == 1
+        assert print_op(single.host_device().device_module) != print_op(
+            robin.host_device().device_module
+        )
 
     def test_device_build_cached_per_overrides(self):
         session = Session(SAXPY_MINI)
@@ -219,71 +225,6 @@ class TestInstrumentedSession:
         assert session.program().stages == []
 
 
-class TestBackCompatShim:
-    """compile_fortran(**old_kwargs) warns but is bit-identical to a
-    hand-built Session."""
-
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="capture_stages"):
-            compile_fortran(SAXPY_MINI, capture_stages=True)
-        with pytest.warns(DeprecationWarning, match="default_reduction_copies"):
-            compile_fortran(SAXPY_MINI, default_reduction_copies=4)
-
-    def test_plain_compile_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            compile_fortran(SAXPY_MINI)
-
-    def test_bit_identical_to_hand_built_session(self):
-        with pytest.warns(DeprecationWarning):
-            old = compile_fortran(
-                SAXPY_SOURCE,
-                memory_space_policy=MemorySpacePolicy(mode="round_robin"),
-                default_reduction_copies=4,
-                shared_bundle=True,
-                capture_stages=True,
-            )
-        session = Session(
-            SAXPY_SOURCE,
-            target=TargetConfig(memory_space_policy="round_robin"),
-            instrumentation=Instrumentation(capture_ir=True),
-        )
-        new = session.program(
-            KernelOverrides(reduction_copies=4, shared_bundle=True)
-        )
-        assert [s.name for s in old.stages] == [s.name for s in new.stages]
-        assert [s.ir for s in old.stages] == [s.ir for s in new.stages]
-        assert old.host_cpp == new.host_cpp
-        assert print_op(old.device_module) == print_op(new.device_module)
-        assert print_op(old.host_module) == print_op(new.host_module)
-        assert old.bitstream.utilization().rounded() == \
-            new.bitstream.utilization().rounded()
-
-    def test_modelled_values_identical(self):
-        """Same simulated run numbers (device time, steps, outputs)
-        through the shim and the staged API."""
-        workload = get_workload("saxpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = compile_fortran(workload.source)
-        new = Session(workload.source).program()
-        results = []
-        for program in (old, new):
-            instance = workload.instance(2000)
-            run = program.executor().run(workload.entry, *instance.args)
-            workload.check(instance)
-            results.append(
-                (run.device_time_s, run.interpreter_steps, run.kernel_cycles)
-            )
-        assert results[0] == results[1]
-
-    def test_compile_workload_shim(self):
-        from repro.pipeline import compile_workload
-
-        program = compile_workload("saxpy")
-        assert any("saxpy" in name for name in program.bitstream.kernels)
-
-
 class TestTargetConfig:
     def test_policy_applies_to_memory_spaces(self):
         session = Session(
@@ -292,19 +233,54 @@ class TestTargetConfig:
         )
         program = session.program()
         kernel = next(iter(program.bitstream.kernels.values()))
-        spaces = {
+        assert [
             arg.type.memory_space for arg in kernel.func_op.body.args
-        }
-        assert len(spaces) > 1  # spread across HBM banks
+        ] == [1, 2, 3, 4]  # spread across HBM banks
 
-    def test_policy_object_accepted(self):
-        policy = MemorySpacePolicy(mode="round_robin", num_banks=4)
-        session = Session(
-            SAXPY_SOURCE, target=TargetConfig(memory_space_policy=policy)
-        )
-        program = session.program()
-        kernel = next(iter(program.bitstream.kernels.values()))
-        assert all(
-            arg.type.memory_space <= 4
-            for arg in kernel.func_op.body.args
-        )
+    def test_policy_object_rejected(self):
+        with pytest.raises(TypeError, match="mode string"):
+            TargetConfig(memory_space_policy=MemorySpacePolicy("round_robin"))
+
+
+class TestFrozenConfig:
+    """TargetConfig and KernelOverrides are cache and digest keys: they
+    cannot be mutated, and their digests are pinned so existing artifact
+    and DSE store entries stay addressable."""
+
+    @pytest.mark.parametrize(
+        "config,field",
+        [(TargetConfig(), "memory_space_policy"), (KernelOverrides(), "simdlen")],
+    )
+    def test_assignment_raises(self, config, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(config, field)
+
+    @pytest.mark.parametrize(
+        "config,digest",
+        [
+            (
+                TargetConfig(),
+                "829c2c6d9edec2d8a2ce4be4624e2a16"
+                "d8e7a6b9373d26f4047d651a739726fe",
+            ),
+            (
+                TargetConfig(memory_space_policy="round_robin"),
+                "7a5082452d2dbfcc3f6640a46f711d18"
+                "650e34639c20ef86ad420bb5c8e08106",
+            ),
+            (
+                KernelOverrides(),
+                "e583d44a466457d4e51e0624603c453f"
+                "ef463de2984fbcfdf21f7a73ace2e812",
+            ),
+        ],
+    )
+    def test_digest_pinned(self, config, digest):
+        assert config.digest() == digest
+
+
+def test_public_names_resolve():
+    for name in repro.__all__:
+        assert getattr(repro, name) is not None, name

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline import compile_fortran
+from repro.session import Session
 
 ELEMENTWISE_TEMPLATE = """
 subroutine apply(x, y, n)
@@ -44,7 +44,7 @@ EXPRESSIONS = [
 @pytest.mark.parametrize("expr,reference", EXPRESSIONS)
 def test_elementwise_expressions(expr, reference, simd):
     source = ELEMENTWISE_TEMPLATE.format(expr=expr, simd=simd)
-    program = compile_fortran(source)
+    program = Session(source).program()
     n = 97  # deliberately not a multiple of the simd factor
     rng = np.random.default_rng(13)
     x = rng.standard_normal(n).astype(np.float32)
@@ -85,7 +85,7 @@ def _cached_saxpy():
     if not _SAXPY_CACHE:
         from repro.workloads import SAXPY_SOURCE
 
-        _SAXPY_CACHE.append(compile_fortran(SAXPY_SOURCE))
+        _SAXPY_CACHE.append(Session(SAXPY_SOURCE).program())
     return _SAXPY_CACHE[0]
 
 
@@ -114,5 +114,5 @@ def _cached_sgesl():
     if not _SGESL_CACHE:
         from repro.workloads import SGESL_SOURCE
 
-        _SGESL_CACHE.append(compile_fortran(SGESL_SOURCE))
+        _SGESL_CACHE.append(Session(SGESL_SOURCE).program())
     return _SGESL_CACHE[0]

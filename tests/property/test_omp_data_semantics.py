@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline import compile_fortran
+from repro.session import Session
 
 
 def _source(with_region: bool, update: bool) -> str:
@@ -45,7 +45,7 @@ subroutine work(a, n)
 )
 @settings(max_examples=24, deadline=None)
 def test_any_nesting_preserves_semantics(with_region, update, n, seed):
-    program = compile_fortran(_source(with_region, update))
+    program = Session(_source(with_region, update)).program()
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(n).astype(np.float32)
     expected = ((a + np.float32(1.0)) * np.float32(3.0)).astype(np.float32)
@@ -59,7 +59,7 @@ def test_region_reduces_traffic_update_refreshes_host():
     base = rng.standard_normal(n).astype(np.float32)
 
     def run(with_region, update):
-        program = compile_fortran(_source(with_region, update))
+        program = Session(_source(with_region, update)).program()
         a = base.copy()
         result = program.executor().run("work", a, np.array(n, np.int32))
         return a, result
@@ -90,7 +90,7 @@ subroutine work(a, n)
 !$omp target exit data map(from: a)
 end subroutine work
 """
-    program = compile_fortran(source)
+    program = Session(source).program()
     n = 300
     a = np.zeros(n, dtype=np.float32)
     result = program.executor().run("work", a, np.array(n, np.int32))

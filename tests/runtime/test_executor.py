@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.pipeline import compile_fortran
-from repro.runtime.cpu import CpuExecutor
 from repro.frontend import compile_to_core
+from repro.runtime.cpu import CpuExecutor
+from repro.session import Session
 from tests.conftest import SAXPY_MINI, run_offload_saxpy
 
 
 @pytest.fixture(scope="module")
 def saxpy_program():
-    return compile_fortran(SAXPY_MINI)
+    return Session(SAXPY_MINI).program()
 
 
 class TestFunctional:

@@ -89,6 +89,17 @@ def test_completed_sweep_is_served_entirely_from_store(
     assert replay.session is None
 
 
+def test_store_counters_reset_per_sweep(tmp_path):
+    """``loads``/``saves`` count the last sweep only: a reused store
+    whose second sweep is served wholly from disk reads 2 loads and 0
+    saves, not the running totals."""
+    store = DseResultStore(tmp_path)
+    explore_workload("saxpy", simdlen_factors=FACTORS[:2], result_store=store)
+    assert (store.loads, store.saves) == (0, 2)
+    explore_workload("saxpy", simdlen_factors=FACTORS[:2], result_store=store)
+    assert (store.loads, store.saves) == (2, 0)
+
+
 def test_corrupt_record_raises_data_integrity_error(tmp_path):
     store = DseResultStore(tmp_path)
     explore_workload("saxpy", simdlen_factors=(1,), result_store=store)

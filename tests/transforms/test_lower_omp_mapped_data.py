@@ -1,9 +1,11 @@
 """Tests for *lower omp mapped data*: device data ops + ref counting."""
 
 import numpy as np
+import pytest
 
 from repro.frontend import compile_to_core
 from repro.ir import PassManager, print_op
+from repro.session import Session, TargetConfig
 from repro.transforms import LowerOmpMappedDataPass, MemorySpacePolicy
 
 
@@ -115,13 +117,27 @@ class TestMemorySpacePolicy:
         assert policy.space_for("a") == first
         assert policy.space_for("b") != first
 
+    @pytest.mark.parametrize("mode", ["Single", "round-robin", "bogus"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            MemorySpacePolicy,
+            lambda mode: TargetConfig(memory_space_policy=mode),
+            lambda mode: PassManager.parse(
+                f"lower-omp-mapped-data{{policy={mode}}}"
+            ),
+        ],
+        ids=["policy", "target-config", "pipeline-spec"],
+    )
+    def test_unknown_mode_rejected(self, build, mode):
+        with pytest.raises(ValueError, match="'single' or 'round_robin'"):
+            build(mode)
+
 
 class TestCounterSemanticsEndToEnd:
     """Nested data regions transfer once (paper Listing 1 behaviour)."""
 
     def test_nested_region_transfers_once(self):
-        from repro.pipeline import compile_fortran
-
         nested = """
 subroutine s(a, n)
   integer, intent(in) :: n
@@ -147,12 +163,12 @@ end subroutine s
         n = 1000
         a0 = np.arange(n, dtype=np.float32)
 
-        scoped_prog = compile_fortran(nested)
+        scoped_prog = Session(nested).program()
         a_scoped = a0.copy()
         scoped = scoped_prog.executor().run(
             "s", a_scoped, np.array(n, np.int32)
         )
-        bare_prog = compile_fortran(bare)
+        bare_prog = Session(bare).program()
         a_bare = a0.copy()
         unscoped = bare_prog.executor().run(
             "s", a_bare, np.array(n, np.int32)

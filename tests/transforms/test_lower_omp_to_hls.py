@@ -6,7 +6,6 @@ import pytest
 from repro.dialects import hls
 from repro.frontend import compile_to_core
 from repro.ir import PassManager, print_op
-from repro.pipeline import compile_fortran
 from repro.session import KernelOverrides, Session
 from repro.transforms import (
     ExtractDeviceModulePass,
@@ -108,7 +107,7 @@ class TestSimdUnroll:
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 17, 64])
     def test_remainder_correct_for_any_trip_count(self, n):
         """simdlen partial unroll preserves semantics incl. remainders."""
-        program = compile_fortran(
+        program = Session(
             """
 subroutine k(x, y, n)
   integer, intent(in) :: n
@@ -122,7 +121,7 @@ subroutine k(x, y, n)
 !$omp end target parallel do simd
 end subroutine k
 """
-        )
+        ).program()
         x = np.arange(1, n + 1, dtype=np.float32)
         y = np.zeros(n, dtype=np.float32)
         program.executor().run("k", x, y, np.array(n, np.int32))
