@@ -5,7 +5,7 @@ bench-regression gate.
 Times compilation and simulated runs of **every gallery workload**
 (``repro.workloads`` registry: SAXPY, SGESL, dot, Jacobi 2-D, SpMV,
 tiled GEMM, histogram, heat3d, batched GEMM) and writes
-``BENCH_pr10.json`` (at the repo root) with seconds and interpreter-step
+``BENCH_pr14.json`` (at the repo root) with seconds and interpreter-step
 counts, so later PRs have a perf trajectory to regress against.  The
 simulator's *modelled* numbers (device time, cycles) are recorded too —
 they must stay constant across engine optimisations; only wall-clock may
@@ -20,7 +20,7 @@ simulator ratios whose floors gate the sharded cycle model.  PR 8 added
 vs serial DSE).  The ``--check-against`` bench gate (hardened in PR 7):
 
     PYTHONPATH=src python benchmarks/perf_smoke.py \\
-        --out bench.json --check-against BENCH_pr10.json
+        --out bench.json --check-against BENCH_pr14.json
 
 compares the fresh run to the committed baseline and exits non-zero when
 
@@ -485,8 +485,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--out",
-        default=str(Path(__file__).resolve().parents[1] / "BENCH_pr10.json"),
-        help="output JSON path (default: <repo>/BENCH_pr10.json)",
+        default=str(Path(__file__).resolve().parents[1] / "BENCH_pr14.json"),
+        help="output JSON path (default: <repo>/BENCH_pr14.json)",
     )
     parser.add_argument(
         "--check-against",
@@ -534,6 +534,9 @@ def main() -> None:
             programs["batched_gemm"], "batched_gemm",
             max(get_workload("batched_gemm").sizes),
         ),
+        # the k-tiled scratch-cell fold; n=64 because its scalar walk
+        # grows as n**3 (9-13 s on a 2-vCPU VM, over 10 minutes at n=256)
+        bench_tiers(programs["gemm"], "gemm", 64),
     ]
     segmented_benches = [
         bench_tiers(
@@ -544,7 +547,7 @@ def main() -> None:
         ),
     ]
     payload = {
-        "pr": 10,
+        "pr": 14,
         "description": (
             "Workload gallery through the three-tier engine: every "
             "registered workload compiled + run, outputs checked bit-for-"
@@ -556,7 +559,8 @@ def main() -> None:
             "model) against one shared Session. scatter_tiers, "
             "nest_tiers and segmented_tiers record scalar-vs-vectorized "
             "wall-clock at each workload's largest sweep size (ufunc.at "
-            "scatter; rank-3 collapse(3) whole-space nests; spmv's CSR "
+            "scatter; rank-3 collapse(3) whole-space nests, plus gemm's "
+            "k-tiled scratch-cell fold at n=64; spmv's CSR "
             "row loops and sgesl's triangular updates on the segmented "
             "tier); each records the speedup floor the gate holds later "
             "runs to. service_tiers (PR 8) records the compile-service "

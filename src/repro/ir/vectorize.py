@@ -18,8 +18,20 @@ parts.
   only when the scalar walk would reach that level;
 * a re-stitched ``simdlen`` pair: the main/remainder loops
   ``lower-omp-to-hls`` emits at unroll factor > 1, proven an F-fold
-  clone by :func:`_match_unroll_pair`, become one dim spanning
+  clone by :func:`~repro.ir.loop_pairs.match_unroll_pair`, become one dim spanning
   ``[main.lb, remainder.ub)`` run by the remainder body;
+* a *tiled* pair (:func:`~repro.ir.loop_pairs.match_tile`): a chain member whose body is
+  pure ops plus one innermost ``scf.for`` whose bounds depend on the
+  member's IV, and whose IV and body values feed only those bounds —
+  the hand-tiled ``do kk = 1, n, T; do k = kk, min(kk+T-1, n)``.  The
+  pair is one dim: the tile body runs over the tile IV vector, and the
+  dim's index vector is the in-order concatenation of the per-tile
+  ranges, runtime-proved strictly increasing before anything is
+  written (overlapping tiles bail).  The tile body is charged once per
+  tile; the tile loop is observed once per outer point and the inner
+  loop once per tile, batched by trip count.  A tile loop may be the
+  root itself: it then has no dim of its own, and the tiled dim is the
+  first;
 * a *ragged* dim: an outer loop whose body is ``prologue / inner fold
   loop / epilogue`` with inner bounds affine in the outer IV
   (triangular ``j = k+1, n``) or loaded from an offset array (CSR row
@@ -30,7 +42,8 @@ parts.
 *gather*: loaded from an index array nothing in the loop stores to
 (``transforms.loop_analysis`` kind ``indirect``).  Gathers are safe for
 loads.  The body compiles once into a slot-frame program
-(:class:`_VectorProgram`) that evaluates every access over the space.
+(:class:`~repro.ir.vector_program.VectorProgram`) that evaluates every
+access over the space.
 
 **Effects** — what the body writes, each bit-identical to the scalar walk:
 
@@ -48,6 +61,17 @@ loads.  The body compiles once into a slot-frame program
   or the rows are ragged.  Both combine strictly in iteration order, so
   float32 folds match the scalar walk bit for bit (no pairwise
   ``np.sum``);
+* a *scratch-cell fold* (:class:`_Frame`, shared with the ragged dim's
+  prologue/epilogue): the level directly above the fold dim
+  re-initialises one invariant cell at every outer point (``t =
+  c(i, j)``), the fold dim accumulates into it, and the epilogue reads
+  it back and stores injectively over the outer points (``c(i, j) =
+  t``).  The prologue runs over the outer points, the fold expression
+  over outer points x fold dim by broadcasting, each row folds in order
+  from its own init, and the epilogue runs with the readback preset to
+  the folded rows; the cell keeps the last outer point's value, like
+  the scalar walk leaves it.  A prologue or epilogue may read the very
+  cell an epilogue store writes (each outer point's own cell);
 * *deferred scatter stores* ``A[idx(i)] = expr`` through a gather
   subscript.  Whole-space fancy assignment does not keep scalar order
   for duplicate indices, so every store waits until each passes the
@@ -57,17 +81,18 @@ loads.  The body compiles once into a slot-frame program
   has mutated nothing.
 
 **Runtime proofs and accounting.**  A NaN in a min/max fold, a failed
-injectivity or monotone proof, a non-positive inner step, and a min/max
-or scatter space too large for one pass all bail before any write, with
+injectivity or monotone proof, overlapping tiles, a non-positive inner
+step, and a min/max or scatter space too large for one pass all bail
+before any write, with
 a reason logged on this module's logger, and the scalar walk reruns the
 loop.  A space under ``_MIN_TRIPS`` iterations stays scalar (constant
 factors) unless the plan drops the floor: a rank-1 loop whose bounds are
 runtime data (a *span*, SGESL's hoisted ``j = k+1, n``) has none, so the
 tail of a triangular launch sweep never falls off the fast tier.
-Rank-n spaces over ``_MAX_NEST_ELEMS`` run one outer slice at a time.
-Step and loop-observer (cycle) accounting replay the scalar walk
-exactly; observer calls are batched by count, and modelled cycles are
-integer-valued floats, so the sums stay exact.
+Rank-n spaces over ``_MAX_NEST_ELEMS`` (1M points) run one outer slice
+at a time.  Step and loop-observer (cycle) accounting replay the scalar
+walk exactly; observer calls are batched by count, and modelled cycles
+are integer-valued floats, so the sums stay exact.
 
 Float32 note: NumPy applies the scalar interpreter's operation per lane
 with no reassociation.  min/max use ``np.minimum``/``np.maximum``, which
@@ -90,51 +115,19 @@ from repro.ir.core import (
     Operation,
     OpResult,
     SSAValue,
-    semantic_attributes,
+)
+from repro.ir.loop_pairs import match_tile, match_unroll_pair
+from repro.ir.vector_program import (
+    SKIPPED,
+    SUPPORTED,
+    VectorProgram,
+    compile_vector_body,
 )
 
 #: Bail-out diagnostics: enable with
 #: ``logging.getLogger("repro.ir.vectorize").setLevel(logging.DEBUG)`` to
 #: see why a hot loop fell back to the scalar tier.
 logger = logging.getLogger("repro.ir.vectorize")
-
-#: ops that are safe no-ops inside a vectorized body
-_SKIPPED = {"hls.pipeline", "hls.unroll", "scf.yield", "omp.yield"}
-
-_BINOPS = {
-    "arith.addi": np.add, "arith.subi": np.subtract,
-    "arith.muli": np.multiply,
-    "arith.addf": np.add, "arith.subf": np.subtract,
-    "arith.mulf": np.multiply, "arith.divf": np.divide,
-    "arith.andi": np.bitwise_and, "arith.ori": np.bitwise_or,
-    "arith.xori": np.bitwise_xor,
-    "arith.minimumf": np.minimum, "arith.maximumf": np.maximum,
-    "arith.minsi": np.minimum, "arith.maxsi": np.maximum,
-}
-_CMPS = {
-    "eq": np.equal, "ne": np.not_equal,
-    "slt": np.less, "sle": np.less_equal,
-    "sgt": np.greater, "sge": np.greater_equal,
-    "olt": np.less, "ole": np.less_equal,
-    "ogt": np.greater, "oge": np.greater_equal,
-}
-_MATH = {
-    "math.sqrt": np.sqrt, "math.absf": np.abs, "math.exp": np.exp,
-    "math.log": np.log, "math.sin": np.sin, "math.cos": np.cos,
-}
-
-_SUPPORTED = (
-    set(_BINOPS)
-    | set(_MATH)
-    | _SKIPPED
-    | {
-        "arith.constant", "arith.cmpi", "arith.cmpf", "arith.select",
-        "arith.index_cast", "arith.extsi", "arith.trunci",
-        "arith.sitofp", "arith.fptosi", "arith.extf", "arith.truncf",
-        "arith.divsi", "arith.remsi",
-        "memref.load", "memref.store",
-    }
-)
 
 #: reduction combiners and their NumPy ufuncs
 _REDUCERS = {
@@ -149,18 +142,11 @@ _MIN_TRIPS = 64
 
 #: rank-n nests above this many total iterations are evaluated one
 #: outermost slice at a time to bound the whole-space temporaries
-_MAX_NEST_ELEMS = 1 << 22
-
-
-def _trunc_divide(a, b):
-    """``arith.divsi`` with the scalar engine's exact semantics:
-    ``int(math.trunc(a / b))`` — truncating division *via float64*,
-    including its precision behaviour."""
-    return np.trunc(np.divide(a, b)).astype(np.int64)
+_MAX_NEST_ELEMS = 1 << 20
 
 
 def _body_is_vectorizable(body: Block) -> bool:
-    return all(not op.regions and op.name in _SUPPORTED for op in body.ops)
+    return all(not op.regions and op.name in SUPPORTED for op in body.ops)
 
 
 def _load_index_ok(idx: SSAValue, iv: SSAValue, body: Block) -> bool:
@@ -225,14 +211,20 @@ class _ChainLevel:
     ``bounds`` is the ``(lb, exclusive ub, step)`` value triple of the
     dim (for a stitched main/remainder pair: the main loop's lb, the
     remainder's ub and step — together they span the original,
-    un-unrolled range).  ``stitch`` is None for a plain ``scf.for``
-    member, else ``(main_for, rem_for, main_opcount, rem_opcount)`` for
-    a proven ``simdlen`` pair whose step/observer accounting must charge
-    *both* loops like the scalar walk does.
+    un-unrolled range; for a tiled pair: the tile loop's).  ``stitch``
+    is None for a plain ``scf.for`` member, else ``(main_for, rem_for,
+    main_opcount, rem_opcount)`` for a proven ``simdlen`` pair whose
+    step/observer accounting must charge *both* loops like the scalar
+    walk does.  ``tile`` is ``(tile_for, inner_for, tile_opcount,
+    bounds_program)`` for a tiled pair: ``bounds_program`` evaluates the
+    tile body over the tile IV vector, giving the inner loop's per-tile
+    bounds; the dim's index vector is the in-order concatenation of the
+    per-tile ranges.
     """
 
     bounds: tuple[SSAValue, SSAValue, SSAValue]
     stitch: tuple[Operation, Operation, int, int] | None = None
+    tile: tuple[Operation, Operation, int, VectorProgram] | None = None
 
 
 @dataclass(frozen=True)
@@ -254,28 +246,39 @@ class _Fold:
 
 
 @dataclass(frozen=True)
+class _Frame:
+    """The prologue / epilogue around a fold dim, run once per outer
+    point (a row of a segmented nest, an outer point of a rectangular
+    one).
+
+    ``row_program`` evaluates the prologue over the outer IV vectors (per
+    row inner bounds, the accumulator init, epilogue subscripts); the
+    plan's program evaluates the fold expression over the whole space;
+    ``epilogue_program`` then runs per outer point with the accumulator
+    readback preset to the folded values.
+    """
+
+    init_value: SSAValue | None  # prologue accumulator-init stored value
+    readback: Operation | None  # epilogue accumulator load (preset)
+    row_program: VectorProgram
+    epilogue_program: VectorProgram
+
+
+@dataclass(frozen=True)
 class _Ragged:
     """The ragged inner dim of a segmented nest.
 
-    ``row_program`` evaluates the prologue over the outer IV vector (per
-    row inner bounds, the accumulator init, epilogue subscripts); the
-    plan's program evaluates the fold expression over the flat space;
-    ``epilogue_program`` then runs per row with the accumulator readback
-    preset to the folded values.  ``needs_monotone`` names the bounds
-    (``"lb"``/``"ub"``) loaded from an offset array.  ``shared`` is True
-    when the accumulator cell is invariant across rows (SpMV's scratch
-    cell: re-initialised by the prologue, read back by the epilogue);
-    False means one cell per row (``y(k) += ...``), written back per row.
+    ``needs_monotone`` names the bounds (``"lb"``/``"ub"``) loaded from
+    an offset array.  ``shared`` is True when the accumulator cell is
+    invariant across rows (SpMV's scratch cell: re-initialised by the
+    prologue, read back by the epilogue); False means one cell per row
+    (``y(k) += ...``), written back per row.
     """
 
     loop: Operation  # the inner loop, observed once per row
     bounds: tuple[SSAValue, SSAValue, SSAValue]
     needs_monotone: tuple[str, ...]
     shared: bool
-    init_value: SSAValue | None  # prologue accumulator-init stored value
-    readback: Operation | None  # epilogue accumulator load (preset)
-    row_program: _VectorProgram
-    epilogue_program: _VectorProgram
 
 
 @dataclass(frozen=True)
@@ -286,27 +289,30 @@ class LoopPlan:
     ``ivs`` holds one induction variable per dim, the first
     ``root_dims`` of them the root loop's own; ``chain`` the perfect
     chain levels below it; ``ragged`` the segmented inner dim.  Effects:
-    ``folds``; ``deferred`` scatter stores with, per store, the
+    ``folds``; ``frame``, the prologue/epilogue around a fold (every
+    segmented plan, and a rectangular nest folding into one scratch
+    cell); ``deferred`` scatter stores with, per store, the
     subscript dims whose values must pass the runtime injectivity proof
     as a tuple (``proof_dims``, empty when statically injective).
 
     Accounting replays the scalar walk: each ``(dims, ops)`` in
     ``charge_specs`` charges ``ops`` steps per execution of the depth
     ``dims`` body; ``observer_specs`` fire the loop observer for each
-    chain member as often as the scalar walk would (stitched levels
-    charge and observe through their stitch info); ``prelude`` holds
-    one tuple of bound-feeding ops per chain level.  ``floor`` is the
-    minimum trip count worth vectorizing.
+    chain member as often as the scalar walk would (stitched and tiled
+    levels charge and observe through their stitch / tile info);
+    ``prelude`` holds one tuple of bound-feeding ops per chain level.
+    ``floor`` is the minimum trip count worth vectorizing.
     """
 
     mode: str
     ivs: tuple[SSAValue, ...]
     root_dims: int
-    program: _VectorProgram
+    program: VectorProgram
     charge_specs: tuple[tuple[int, int], ...]
     chain: tuple[_ChainLevel, ...] = ()
     ragged: _Ragged | None = None
     folds: tuple[_Fold, ...] = ()
+    frame: _Frame | None = None
     deferred: tuple[Operation, ...] = ()
     proof_dims: tuple[tuple[int, ...], ...] = ()
     observer_specs: tuple[tuple[int, Operation], ...] = ()
@@ -395,7 +401,7 @@ def _analyze(loop: Operation) -> LoopPlan | str:
             return _bail(loop.name, generic)
         return _rank1_plan(loop, "iter_reduction", folds=folds)
     walk = _walk_dims(loop)
-    if not isinstance(walk, str) and len(walk[0]) == 1:
+    if not isinstance(walk, str) and len(walk[0]) == 1 and not walk[2]:
         effects = _rank1_effects(loop, body, body.args[0])
         if isinstance(effects, dict):
             return _rank1_plan(loop, **effects)
@@ -414,7 +420,7 @@ def _analyze(loop: Operation) -> LoopPlan | str:
 
 
 # ---------------------------------------------------------------------------
-# Dims: the perfect chain and stitched simdlen pairs
+# Dims: the perfect chain, stitched simdlen pairs and tiled pairs
 # ---------------------------------------------------------------------------
 
 
@@ -433,19 +439,31 @@ def _chain_depth(loop: Operation) -> int:
 def _walk_dims(loop: Operation):
     """Walk the perfect chain below ``loop``.  Returns ``(ivs, root_dims,
     chain, charge_specs, observer_specs, extras_by_level, innermost)`` —
-    ``extras_by_level`` holding each chain member's non-loop body ops —
-    or the reason the chain is not perfect."""
+    ``extras_by_level`` holding the non-loop ops of each body that
+    contains a chain member — or the reason the chain is not perfect."""
     root_body = loop.regions[0].block
     if loop.name == "omp.loop_nest":
         ivs = list(root_body.args)
     else:
         ivs = [root_body.args[0]]
-    root_dims = len(ivs)
     chain: list[_ChainLevel] = []
     charge_specs: list[tuple[int, int]] = []
     observer_specs: list[tuple[int, Operation]] = []
     extras_by_level: list[list[Operation]] = []
     body = root_body
+    root_tile = match_tile(loop) if loop.name == "scf.for" else None
+    if isinstance(root_tile, str):
+        root_tile = None  # a plain root: its own bail reasons apply
+    if root_tile is not None:
+        # A tile loop at the root has no dim of its own: the tiled loop's
+        # IV is the first dim, and the caller observes the root itself.
+        chain.append(_ChainLevel(
+            bounds=tuple(loop.operands[:3]), tile=root_tile
+        ))
+        extras_by_level.append([])
+        body = root_tile[1].regions[0].block
+        ivs = [body.args[0]]
+    root_dims = len(ivs) - len(chain)
     while True:
         charge_specs.append((len(ivs), max(1, len(body.ops))))
         nested = [op for op in body.ops if op.name == "scf.for"]
@@ -453,7 +471,7 @@ def _walk_dims(loop: Operation):
             break
         stitch_factor = None
         if len(nested) == 2:
-            stitch_factor = _match_unroll_pair(nested[0], nested[1])
+            stitch_factor = match_unroll_pair(nested[0], nested[1])
         if len(nested) > 1 and stitch_factor is None:
             return "body contains multiple nested loops"
         if stitch_factor is not None:
@@ -469,16 +487,17 @@ def _walk_dims(loop: Operation):
             inner_body = inner_for.regions[0].block
             if len(inner_body.args) != 1:
                 return "nested loop carries iter_args"
+            tile = match_tile(inner_for)
+            if isinstance(tile, str):
+                return tile
             level_loops = (inner_for,)
         level_extras: list[Operation] = []
         for op in body.ops:
             if op in level_loops:
                 continue
-            if op.regions or op.name not in _SUPPORTED:
+            if op.regions or op.name not in SUPPORTED:
                 return "body has nested regions or unsupported ops"
-            if op.name == "memref.store":
-                return "store outside the innermost loop body"
-            if op.name not in _SKIPPED:
+            if op.name not in SKIPPED:
                 level_extras.append(op)
         extras_by_level.append(level_extras)
         if stitch_factor is not None:
@@ -501,6 +520,16 @@ def _walk_dims(loop: Operation):
             ivs.append(rem_body.args[0])
             body = rem_body
             break
+        if tile is not None:
+            # The pair is one dim: the tiled loop's IV runs over the
+            # per-tile ranges in order; the tile loop's charges and
+            # observer calls come from the tile info.
+            chain.append(_ChainLevel(
+                bounds=tuple(inner_for.operands[:3]), tile=tile
+            ))
+            body = tile[1].regions[0].block
+            ivs.append(body.args[0])
+            continue
         observer_specs.append((len(ivs), inner_for))
         chain.append(_ChainLevel(bounds=tuple(inner_for.operands[:3])))
         ivs.append(inner_body.args[0])
@@ -530,220 +559,6 @@ def _defined_outside(value: SSAValue, root_body: Block) -> bool:
     return False
 
 
-def _const_int(value: SSAValue) -> int | None:
-    from repro.ir.attributes import IntegerAttr
-
-    if isinstance(value, OpResult) and value.op.name == "arith.constant":
-        attr = value.op.attributes.get("value")
-        if isinstance(attr, IntegerAttr):
-            return attr.value
-    return None
-
-
-def _attr_int(attr) -> int | None:
-    from repro.ir.attributes import IntegerAttr
-
-    return attr.value if isinstance(attr, IntegerAttr) else None
-
-
-def _match_unroll_pair(main: Operation, rem: Operation) -> int | None:
-    """Prove two sibling loops are the ``simdlen``-unrolled
-    main/remainder pair ``lower-omp-to-hls`` emits, returning the unroll
-    factor, or None.
-
-    The pair is *semantically* the plain loop ``for iv in [main.lb,
-    rem.ub, rem.step)`` running the remainder body.  The proof cannot be
-    a linear shape match against the emitter's output: ``canonicalize``
-    runs afterwards and constant-folds the per-lane IV derivations,
-    CSE's cloned constants, and shares IV-independent subexpressions
-    across lanes.  Instead the proof is over the dataflow:
-
-    * ``rem.lb`` is SSA-identical to ``main.ub``;
-    * ``main.step`` is ``F * step`` of the remainder step, either as
-      ``muli(step, F)`` or as a folded constant multiple;
-    * ``main.ub`` is ``lb + (ub - lb) // chunk * chunk`` over the same
-      SSA values (so the main loop never overruns the split point);
-    * the main body's stores are exactly F lanes of the remainder
-      body's stores, in lane order, where every store operand is
-      recursively equivalent to its remainder counterpart under the
-      lane-k binding ``rem_iv == main_iv + k*step`` — constants compare
-      by value (CSE/cloning makes them distinct SSA values), everything
-      else by matching op name/attrs/operands;
-    * no buffer both loaded and stored in either body, so lane-order
-      sharing of loads can never observe a value an earlier lane's
-      store would have changed.
-    """
-    from repro.transforms.loop_analysis import root_memref
-
-    for member in (main, rem):
-        if member.results or len(member.regions[0].blocks) != 1:
-            return None
-        if len(member.regions[0].block.args) != 1:
-            return None
-    main_body = main.regions[0].block
-    rem_body = rem.regions[0].block
-    lb, main_ub, chunk = main.operands[:3]
-    rem_lb, ub_ex, step = rem.operands[:3]
-    if rem_lb is not main_ub:
-        return None
-    step_c = _const_int(step)
-    factor: int | None = None
-    if isinstance(chunk, OpResult) and chunk.op.name == "arith.muli":
-        c_lhs, c_rhs = chunk.op.operands
-        factor = _const_int(c_rhs) if c_lhs is step else (
-            _const_int(c_lhs) if c_rhs is step else None
-        )
-    if factor is None:
-        # canonicalize folds muli(const_step, const_F) to one constant
-        chunk_c = _const_int(chunk)
-        if chunk_c is not None and step_c not in (None, 0):
-            factor, rem_f = divmod(chunk_c, step_c)
-            if rem_f:
-                factor = None
-    if factor is None or factor < 2:
-        return None
-    # main_ub = addi(lb, muli(divsi(subi(ub_ex, lb), chunk), chunk)):
-    # guarantees (main_ub - lb) % chunk == 0, so the chunked main loop
-    # covers [lb, main_ub) exactly and never overruns the split point.
-    if not (isinstance(main_ub, OpResult) and main_ub.op.name == "arith.addi"):
-        return None
-    mu_lhs, main_len = main_ub.op.operands
-    if mu_lhs is not lb:
-        return None
-    if not (
-        isinstance(main_len, OpResult) and main_len.op.name == "arith.muli"
-    ):
-        return None
-    trips_v, chunk_v = main_len.op.operands
-    if chunk_v is not chunk:
-        return None
-    if not (isinstance(trips_v, OpResult) and trips_v.op.name == "arith.divsi"):
-        return None
-    span_v, chunk_v2 = trips_v.op.operands
-    if chunk_v2 is not chunk:
-        return None
-    if not (isinstance(span_v, OpResult) and span_v.op.name == "arith.subi"):
-        return None
-    if span_v.op.operands[0] is not ub_ex or span_v.op.operands[1] is not lb:
-        return None
-
-    # -- body dataflow equivalence ----------------------------------------
-    main_iv, rem_iv = main_body.args[0], rem_body.args[0]
-    rem_ops = list(rem_body.ops)
-    main_ops = list(main_body.ops)
-    for op in rem_ops + main_ops:
-        if op.regions:
-            return None
-        if op.name == "hls.unroll":
-            declared = _attr_int(op.attributes.get("factor"))
-            if declared is not None and declared != factor:
-                return None
-        elif not (
-            op.name in ("memref.load", "memref.store", "scf.yield")
-            or op.name.startswith(("arith.", "math.", "hls."))
-        ):
-            return None
-    # Lane-order execution of shared loads is only equivalent to the
-    # plain sequential loop when no store can invalidate a load another
-    # lane reuses — require load/store buffer roots to be disjoint.
-    for ops in (main_ops, rem_ops):
-        store_roots = {
-            id(root_memref(op.operands[1]))
-            for op in ops
-            if op.name == "memref.store"
-        }
-        for op in ops:
-            if op.name == "memref.load":
-                if id(root_memref(op.operands[0])) in store_roots:
-                    return None
-    rem_stores = [op for op in rem_ops if op.name == "memref.store"]
-    main_stores = [op for op in main_ops if op.name == "memref.store"]
-    if not rem_stores or len(main_stores) != factor * len(rem_stores):
-        return None
-    rem_op_ids = {id(op) for op in rem_ops}
-
-    def lane_iv(m_val: SSAValue, k: int) -> bool:
-        if k == 0 and m_val is main_iv:
-            return True
-        if not (isinstance(m_val, OpResult) and m_val.op.name == "arith.addi"):
-            return False
-        a, b = m_val.op.operands
-        off = b if a is main_iv else (a if b is main_iv else None)
-        if off is None:
-            return False
-        off_c = _const_int(off)
-        if off_c is not None and step_c is not None:
-            return off_c == k * step_c
-        if isinstance(off, OpResult) and off.op.name == "arith.muli":
-            x, y = off.op.operands
-            return (x is step and _const_int(y) == k) or (
-                y is step and _const_int(x) == k
-            )
-        return False
-
-    def equiv(
-        m_val: SSAValue,
-        r_val: SSAValue,
-        k: int,
-        memo: dict[tuple[int, int], bool],
-    ) -> bool:
-        if r_val is rem_iv:
-            return lane_iv(m_val, k)
-        key = (id(m_val), id(r_val))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(r_val, OpResult) and id(r_val.op) in rem_op_ids:
-            r_op = r_val.op
-            ok = False
-            if isinstance(m_val, OpResult):
-                m_op = m_val.op
-                ok = (
-                    m_op.name == r_op.name
-                    and semantic_attributes(m_op.attributes)
-                    == semantic_attributes(r_op.attributes)
-                    and m_val.index == r_val.index
-                    and m_val.type == r_val.type
-                    and len(m_op.operands) == len(r_op.operands)
-                    and not m_op.regions
-                    and all(
-                        equiv(mo, ro, k, memo)
-                        for mo, ro in zip(m_op.operands, r_op.operands)
-                    )
-                )
-        else:
-            # loop-invariant: same SSA value, or value-equal constants
-            # (cloning and CSE leave equal constants as distinct values)
-            ok = m_val is r_val or (
-                isinstance(m_val, OpResult)
-                and isinstance(r_val, OpResult)
-                and m_val.op.name == r_val.op.name == "arith.constant"
-                and semantic_attributes(m_val.op.attributes)
-                == semantic_attributes(r_val.op.attributes)
-                and m_val.type == r_val.type
-            )
-        memo[key] = ok
-        return ok
-
-    width = len(rem_stores)
-    for k in range(factor):
-        memo: dict[tuple[int, int], bool] = {}
-        lane = main_stores[k * width : (k + 1) * width]
-        for m_store, r_store in zip(lane, rem_stores):
-            if (
-                len(m_store.operands) != len(r_store.operands)
-                or semantic_attributes(m_store.attributes)
-                != semantic_attributes(r_store.attributes)
-            ):
-                return None
-            if not all(
-                equiv(mo, ro, k, memo)
-                for mo, ro in zip(m_store.operands, r_store.operands)
-            ):
-                return None
-    return factor
-
-
 # ---------------------------------------------------------------------------
 # Effects
 # ---------------------------------------------------------------------------
@@ -761,7 +576,7 @@ def _rank1_plan(loop: Operation, mode: str, **fields) -> LoopPlan:
         mode=mode,
         ivs=(body.args[0],),
         root_dims=1,
-        program=_compile_vector_body(list(body.ops), skip, [body.args[0]]),
+        program=compile_vector_body(list(body.ops), skip, [body.args[0]]),
         charge_specs=((1, max(1, len(body.ops))),),
         **fields,
     )
@@ -901,7 +716,7 @@ def _iter_folds(loop: Operation) -> tuple[_Fold, ...] | None:
     for op in body.ops:
         if id(op) in combiner_ids or op is last:
             continue
-        if op.regions or op.name not in _SUPPORTED:
+        if op.regions or op.name not in SUPPORTED:
             return None
         if op.name == "memref.store":
             return None
@@ -993,12 +808,30 @@ def _nest_plan(walk) -> LoopPlan | str:
      innermost) = walk
     rank = len(ivs)
     root_body = ivs[0].block
+    # Above the innermost body only the level directly above the fold dim
+    # may store: the scratch-cell frame (init store, readback, writeback).
+    framed = bool(chain) and any(
+        op.name == "memref.store" for op in extras_by_level[-1]
+    )
+    if (framed and chain[-1].stitch is not None) or any(
+        op.name == "memref.store"
+        for level in extras_by_level[:-1]
+        for op in level
+    ):
+        return "store outside the innermost loop body"
     if not _body_is_vectorizable(innermost):
         return "body has nested regions or unsupported ops"
 
     # -- collect memory accesses over the whole nest ---------------------------
     extra_ops = [op for level in extras_by_level for op in level]
     program_ops = [*extra_ops, *innermost.ops]
+    tile_ops = [
+        op
+        for level in chain
+        if level.tile is not None
+        for op in level.tile[0].regions[0].block.ops
+        if op is not level.tile[1]
+    ]
     loaded: set[int] = set()
     store_counts: dict[int, int] = {}
     stores = [op for op in program_ops if op.name == "memref.store"]
@@ -1019,7 +852,7 @@ def _nest_plan(walk) -> LoopPlan | str:
     for level_extras in extras_by_level:
         level_prelude: list[Operation] = []
         for op in level_extras:
-            if not all(
+            if op.name == "memref.store" or not all(
                 _defined_outside(v, root_body) or v in independent
                 for v in op.operands
             ):
@@ -1037,6 +870,16 @@ def _nest_plan(walk) -> LoopPlan | str:
             # the stitched runtime also reads both loops' own triples
             level_bounds += list(level.stitch[0].operands[:3])
             level_bounds += list(level.stitch[1].operands[:3])
+        if level.tile is not None:
+            # the per-tile bounds must not vary with a nest IV either:
+            # the bounds program's inputs and any inner bound it does
+            # not compute itself, and no load of a buffer the nest stores
+            _, inner_for, _, bounds_program = level.tile
+            level_bounds += [v for _, v in bounds_program.outer]
+            level_bounds += [
+                v for v in inner_for.operands[:3]
+                if v not in bounds_program.slots
+            ]
         for bound in level_bounds:
             if not (
                 _defined_outside(bound, root_body) or bound in independent
@@ -1045,6 +888,12 @@ def _nest_plan(walk) -> LoopPlan | str:
                     "nested loop bounds vary with an outer induction "
                     "variable"
                 )
+    if any(
+        op.name == "memref.load"
+        and id(root_memref(op.operands[0])) in store_counts
+        for op in tile_ops
+    ):
+        return "nested loop bounds vary with an outer induction variable"
 
     def loads_are_affine(skip: frozenset[int]) -> str | None:
         # ``indirect`` is safe for loads: gathers cannot collide, and the
@@ -1061,12 +910,14 @@ def _nest_plan(walk) -> LoopPlan | str:
                         return "load subscript is not affine/invariant/gather"
         return None
 
-    def plan(mode: str, skip: frozenset[int], **fields) -> LoopPlan:
+    def plan(
+        mode: str, skip: frozenset[int], ops=program_ops, **fields
+    ) -> LoopPlan:
         return LoopPlan(
             mode=mode,
             ivs=tuple(ivs),
             root_dims=root_dims,
-            program=_compile_vector_body(program_ops, skip, ivs),
+            program=compile_vector_body(ops, skip, ivs),
             charge_specs=tuple(charge_specs),
             chain=tuple(chain),
             observer_specs=tuple(observer_specs),
@@ -1076,6 +927,45 @@ def _nest_plan(walk) -> LoopPlan | str:
 
     # -- innermost-dim fold: P[f(outer ivs)] = P[...] (+) expr -----------------
     fold = _memref_fold(innermost, ivs[-1])
+    if framed:
+        # The scratch-cell fold: per outer point the level above the fold
+        # dim re-initialises one invariant cell, the fold dim accumulates
+        # into it and the epilogue reads it back.  The program covers the
+        # fold body only; the frame's programs run per outer point.
+        if fold is None:
+            return "store outside the innermost loop body"
+        if any(
+            classify_index(idx, iv, root_body).kind != "invariant"
+            for idx in fold.cell
+            for iv in ivs
+        ):
+            return "framed fold accumulates into more than one cell"
+        last = chain[-1]
+        frame_loop = (
+            last.tile[0] if last.tile is not None else innermost.parent.parent
+        )
+        frame_ops = frame_loop.parent.ops
+        pos = frame_ops.index(frame_loop)
+        upper = [op for level in extras_by_level[:-1] for op in level]
+        row_defined = {r for op in (*upper, *frame_ops[:pos]) for r in op.results}
+        if not all(
+            _defined_outside(idx, root_body) or idx in row_defined
+            for idx in fold.cell
+        ):
+            return "accumulator subscript is computed inside the inner loop body"
+        frame = _fold_frame(
+            fold, frame_ops[:pos], frame_ops[pos + 1 :], upper,
+            [*innermost.ops, *tile_ops], ivs[:-1], root_body, shared=True,
+        )
+        if isinstance(frame, str):
+            return frame
+        reason = loads_are_affine(fold.skip)
+        if reason is not None:
+            return reason
+        return plan(
+            "nest_reduction", fold.skip, innermost.ops,
+            folds=(fold,), frame=frame,
+        )
     if fold is not None:
         covered: set[int] = set()
         for idx in fold.cell:
@@ -1192,7 +1082,7 @@ def _segmented_plan(loop: Operation) -> LoopPlan | str | None:
     prologue = list(body.ops[:pos])
     epilogue = list(body.ops[pos + 1 :])
     for op in (*prologue, *epilogue):
-        if op.regions or op.name not in _SUPPORTED:
+        if op.regions or op.name not in SUPPORTED:
             return "outer body has nested regions or unsupported ops"
     fold = _memref_fold(inner_body, inner_body.args[0])
     if fold is None:
@@ -1233,6 +1123,63 @@ def _segmented_plan(loop: Operation) -> LoopPlan | str | None:
                 "outer IV"
             )
 
+    frame = _fold_frame(
+        fold, prologue, epilogue, (), inner_body.ops, [iv_o], body, shared
+    )
+    if isinstance(frame, str):
+        return frame
+    inner_iv = inner_body.args[0]
+    return LoopPlan(
+        mode="nest_segmented",
+        ivs=(iv_o, inner_iv),
+        root_dims=1,
+        program=compile_vector_body(
+            list(inner_body.ops), fold.skip, [iv_o, inner_iv]
+        ),
+        charge_specs=(
+            (1, max(1, len(body.ops))),
+            (2, max(1, len(inner_body.ops))),
+        ),
+        ragged=_Ragged(
+            loop=inner_for,
+            bounds=(lb_v, ub_v, step_v),
+            needs_monotone=tuple(needs_monotone),
+            shared=shared,
+        ),
+        folds=(fold,),
+        frame=frame,
+    )
+
+
+def _fold_frame(
+    fold: _Fold, prologue, epilogue, upper, inner, outer_ivs, body: Block,
+    shared: bool,
+) -> _Frame | str:
+    """Check the ``prologue / fold dim / epilogue`` frame around ``fold``
+    and compile its programs, or return the reason it does not hold.
+
+    The prologue is pure compute plus at most one accumulator init store
+    (required when the cell is ``shared`` by every outer point); the
+    epilogue may read the accumulator back once and store injectively
+    over the outer points (each subscript affine in at most one of
+    ``outer_ivs``, together covering all of them).  No buffer read in
+    the nest (``upper`` and ``inner`` ops included) may be written in
+    it, except a prologue/epilogue load of the very cell an epilogue
+    store writes: each outer point then reads only its own cell.
+    ``upper`` ops run per outer point ahead of the prologue."""
+    from repro.transforms.loop_analysis import (
+        classify_index,
+        index_values_equal,
+        root_memref,
+    )
+
+    acc_root = root_memref(fold.acc)
+
+    def same_cell(a, b) -> bool:
+        return len(a) == len(b) and all(
+            index_values_equal(x, y, body) for x, y in zip(a, b)
+        )
+
     # -- prologue: pure compute plus (at most) the accumulator init store ------
     init_store = None
     for op in prologue:
@@ -1240,11 +1187,7 @@ def _segmented_plan(loop: Operation) -> LoopPlan | str | None:
             continue
         if not (
             root_memref(op.operands[1]) is acc_root
-            and len(op.operands) - 2 == len(fold.cell)
-            and all(
-                index_values_equal(a, b, body)
-                for a, b in zip(op.operands[2:], fold.cell)
-            )
+            and same_cell(op.operands[2:], fold.cell)
         ):
             return "prologue stores to a non-accumulator buffer"
         if init_store is not None:
@@ -1257,17 +1200,14 @@ def _segmented_plan(loop: Operation) -> LoopPlan | str | None:
 
     # -- epilogue: the accumulator readback + injective per-row stores ---------
     readback = None
-    epi_store_roots: set[int] = set()
+    epi_stores: dict[int, Operation] = {}
     for op in epilogue:
         if op.name == "memref.load" and root_memref(op.operands[0]) is acc_root:
             if not shared:
                 return "per-row accumulator is read back in the epilogue"
             if readback is not None:
                 return "accumulator read twice in the epilogue"
-            if len(op.operands) - 1 != len(fold.cell) or not all(
-                index_values_equal(a, b, body)
-                for a, b in zip(op.operands[1:], fold.cell)
-            ):
+            if not same_cell(op.operands[1:], fold.cell):
                 return (
                     "epilogue accumulator load subscript differs from the "
                     "reduction cell"
@@ -1277,59 +1217,57 @@ def _segmented_plan(loop: Operation) -> LoopPlan | str | None:
             root = root_memref(op.operands[1])
             if root is acc_root:
                 return "epilogue stores to the accumulator"
-            if id(root) in epi_store_roots:
+            if id(root) in epi_stores:
                 return "two epilogue stores to one buffer"
-            epi_store_roots.add(id(root))
+            epi_stores[id(root)] = op
             if len(op.operands) == 2:
                 return "rank-0 epilogue store hits the same cell every row"
-            kinds = [classify_index(i, iv_o, body).kind for i in op.operands[2:]]
-            if not set(kinds) <= {"affine", "invariant"}:
-                return (
-                    "epilogue store subscript is not affine/invariant "
-                    "in the outer IV"
-                )
-            if "affine" not in kinds:
+            covered: set[int] = set()
+            for idx in op.operands[2:]:
+                kinds = [classify_index(idx, iv, body).kind for iv in outer_ivs]
+                if not set(kinds) <= {"affine", "invariant"}:
+                    return (
+                        "epilogue store subscript is not affine/invariant "
+                        "in the outer IV"
+                    )
+                if kinds.count("affine") > 1:
+                    return "epilogue store subscript couples two IVs"
+                if "affine" in kinds:
+                    covered.add(kinds.index("affine"))
+            if not covered:
                 return "epilogue store hits the same cell every row"
+            if len(covered) != len(outer_ivs):
+                return "epilogue store subscripts do not cover every outer dim"
 
     # -- nothing read anywhere in the nest may also be written in it -----------
-    store_roots = {id(acc_root)} | epi_store_roots
-    nest_loads = [
-        op
-        for op in (*prologue, *inner_body.ops, *epilogue)
-        if op.name == "memref.load"
-        and id(op) not in fold.skip
-        and op is not readback
-    ]
-    if any(id(root_memref(op.operands[0])) in store_roots for op in nest_loads):
-        return "a buffer read in the nest is also written in the nest"
+    def own_cell(load: Operation) -> bool:
+        store = epi_stores.get(id(root_memref(load.operands[0])))
+        return store is not None and same_cell(
+            load.operands[1:], store.operands[2:]
+        )
+
+    store_roots = {id(acc_root)} | set(epi_stores)
+    for ops, exempt in ((upper, False), (prologue, True), (inner, False),
+                        (epilogue, True)):
+        for op in ops:
+            if (
+                op.name == "memref.load"
+                and id(op) not in fold.skip
+                and op is not readback
+                and id(root_memref(op.operands[0])) in store_roots
+                and not (exempt and own_cell(op))
+            ):
+                return "a buffer read in the nest is also written in the nest"
 
     row_skip = frozenset({id(init_store)} if init_store is not None else ())
     epi_skip = frozenset({id(readback)} if readback is not None else ())
-    inner_iv = inner_body.args[0]
-    return LoopPlan(
-        mode="nest_segmented",
-        ivs=(iv_o, inner_iv),
-        root_dims=1,
-        program=_compile_vector_body(
-            list(inner_body.ops), fold.skip, [iv_o, inner_iv]
+    return _Frame(
+        init_value=init_store.operands[0] if init_store is not None else None,
+        readback=readback,
+        row_program=compile_vector_body(
+            [*upper, *prologue], row_skip, outer_ivs
         ),
-        charge_specs=(
-            (1, max(1, len(body.ops))),
-            (2, max(1, len(inner_body.ops))),
-        ),
-        ragged=_Ragged(
-            loop=inner_for,
-            bounds=(lb_v, ub_v, step_v),
-            needs_monotone=tuple(needs_monotone),
-            shared=shared,
-            init_value=(
-                init_store.operands[0] if init_store is not None else None
-            ),
-            readback=readback,
-            row_program=_compile_vector_body(prologue, row_skip, [iv_o]),
-            epilogue_program=_compile_vector_body(epilogue, epi_skip, [iv_o]),
-        ),
-        folds=(fold,),
+        epilogue_program=compile_vector_body(epilogue, epi_skip, outer_ivs),
     )
 
 
@@ -1352,16 +1290,18 @@ def run_vectorized(interp, loop: Operation, env, bounds) -> list | None:
         return None
     if plan.ragged is not None:
         return _run_ragged(interp, env, bounds[0], plan)
-    # a rectangular space: the root dims plus the chain levels
+    # a rectangular space: the root dims plus the chain levels (a tiled
+    # root has no dim of its own: its chain level reads its bounds)
+    bounds = list(bounds[: plan.root_dims])
     trips = [_trip_count(lb, ub, step) for lb, ub, step in bounds]
-    bounds = list(bounds)
-    stitches = _chain_dims(interp, env, plan, bounds, trips) if plan.chain else ()
-    if stitches is None:
+    levels = _chain_dims(interp, env, plan, bounds, trips) if plan.chain else ()
+    if levels is None:
         return None
     total = math.prod(trips)
     if 0 < total < plan.floor:
         return None  # scalar wins on constant factors
-    if total:
+    # a framed fold runs its prologue/epilogue even when the fold dim is empty
+    if total or (plan.frame is not None and math.prod(trips[:-1])):
         results = _evaluate(interp, loop, env, plan, bounds, trips, total)
         if results is None:
             return None
@@ -1376,12 +1316,12 @@ def run_vectorized(interp, loop: Operation, env, bounds) -> list | None:
     for dims, op_count in plan.charge_specs:
         steps += math.prod(trips[:dims]) * op_count
     observer = interp.loop_observer
-    for dims, main_for, rem_for, main_ops, rem_ops, m_t, r_t in stitches:
+    for dims, level_steps, observations in levels:
         executions = math.prod(trips[:dims])
-        steps += executions * (m_t * main_ops + r_t * rem_ops)
+        steps += executions * level_steps
         if observer is not None and executions:
-            observer(main_for, m_t, executions)
-            observer(rem_for, r_t, executions)
+            for op, op_trips, count in observations:
+                observer(op, op_trips, count * executions)
     interp.steps += steps
     if observer is not None and plan.observer_specs:
         for dims, chain_op in plan.observer_specs:
@@ -1420,16 +1360,19 @@ def _guarded_plan(interp, loop: Operation) -> LoopPlan | None:
 
 def _chain_dims(interp, env, plan: LoopPlan, bounds, trips):
     """Append the chain levels' bounds and trips, whose bound values are
-    read from the environment after the step-neutral prelude evaluation.
-    Returns the stitched levels' runtime accounting ``(dims, main_for,
-    rem_for, main_ops, rem_ops, main_trips, rem_trips)``, or None when a
-    non-positive step leaves the loop to the scalar walk."""
-    stitches = []
+    read from the environment after the step-neutral prelude evaluation
+    (a tiled level appends its index vector in place of a triple).
+    Returns the stitched and tiled levels' runtime accounting ``(dims,
+    steps per execution, ((loop, trips, calls per execution), ...))``,
+    or None when a non-positive step or overlapping tiles leave the loop
+    to the scalar walk."""
+    levels = []
     for level, level_prelude in zip(plan.chain, plan.prelude):
         if 0 in trips:
             # The scalar walk never reaches this level: its bound
             # expressions must stay unevaluated (they may fault), and
             # every deeper charge/observer product is zero regardless.
+            bounds.append((0, 0, 1))
             trips.append(0)
             continue
         if level_prelude:
@@ -1446,6 +1389,17 @@ def _chain_dims(interp, env, plan: LoopPlan, bounds, trips):
         lb, ub, step = (interp.get(env, v) for v in level.bounds)
         if step <= 0:
             return None
+        if level.tile is not None:
+            tiled = _tile_index(interp, env, level.tile, lb, ub, step)
+            if tiled is None:
+                return None
+            index, level_steps, observations = tiled
+            if not trips:
+                observations = observations[1:]  # a tiled root: observed
+            levels.append((len(trips), level_steps, observations))
+            bounds.append(index)
+            trips.append(len(index))
+            continue
         if level.stitch is not None:
             main_for, rem_for, main_ops, rem_ops = level.stitch
             m_lb, m_ub, m_step = (
@@ -1453,34 +1407,81 @@ def _chain_dims(interp, env, plan: LoopPlan, bounds, trips):
             )
             if m_step <= 0:
                 return None
-            stitches.append((
-                len(trips), main_for, rem_for, main_ops, rem_ops,
-                _trip_count(m_lb, m_ub, m_step),
-                _trip_count(*(interp.get(env, v) for v in rem_for.operands[:3])),
+            m_t = _trip_count(m_lb, m_ub, m_step)
+            r_t = _trip_count(
+                *(interp.get(env, v) for v in rem_for.operands[:3])
+            )
+            levels.append((
+                len(trips),
+                m_t * main_ops + r_t * rem_ops,
+                ((main_for, m_t, 1), (rem_for, r_t, 1)),
             ))
         bounds.append((lb, ub, step))
         trips.append(_trip_count(lb, ub, step))
-    return stitches
+    return levels
+
+
+def _tile_index(interp, env, tile, lb, ub, step):
+    """The index vector of a tiled dim: the inner loop's bounds evaluated
+    over the tile IV vector, its per-tile ranges concatenated in order.
+    Returns ``(index, steps per execution, observations)`` — the tile
+    body is charged once per tile, the tile loop observed once and the
+    inner loop once per tile, batched by trip count — or None (nothing
+    evaluated beyond the pure tile body) when the inner step is not one
+    positive value or (logged) the ranges are not strictly increasing."""
+    tile_for, inner_for, tile_ops, program = tile
+    tiles = np.arange(
+        lb, lb + _trip_count(lb, ub, step) * step, step, dtype=np.int64
+    )
+    if not len(tiles):
+        return np.empty(0, np.int64), 0, ((tile_for, 0, 1),)
+    value = program.lookup(program.run(interp, env, [tiles]), interp, env)
+    inner_step = value(inner_for.operands[2])
+    if np.ndim(inner_step) != 0 or inner_step <= 0:
+        return None  # the scalar walk decides
+    inner_step = int(inner_step)
+    lb_vec, ub_vec = (
+        np.broadcast_to(np.asarray(value(v), dtype=np.int64), tiles.shape)
+        for v in inner_for.operands[:2]
+    )
+    counts = _range_trips(lb_vec, ub_vec, inner_step)
+    index = _concat_ranges(lb_vec, counts, inner_step)
+    if len(index) > 1 and not bool(np.all(np.diff(index) > 0)):
+        logger.debug(
+            "scalar bail-out: tiled loop ranges overlap or run out of "
+            "order (the concatenated index is not strictly increasing); "
+            "rerunning the loop on the scalar tier",
+        )
+        return None
+    trip_values, trip_counts = np.unique(counts, return_counts=True)
+    return index, len(tiles) * tile_ops, (
+        (tile_for, len(tiles), 1),
+        *(
+            (inner_for, int(t), int(c))
+            for t, c in zip(trip_values, trip_counts)
+        ),
+    )
 
 
 def _evaluate(interp, loop, env, plan: LoopPlan, bounds, trips, total):
-    """Evaluate the program and apply the effects over a non-empty space.
+    """Evaluate the program and apply the effects over a non-empty space
+    (for a framed fold: a non-empty outer space).  ``bounds`` holds a
+    ``(lb, exclusive ub, step)`` triple or a tiled index vector per dim.
     Returns the iter_arg results, or None after a bail (nothing
     mutated)."""
     dim_values = [
-        np.arange(lb, lb + t * step, step, dtype=np.int64)
-        for (lb, _, step), t in zip(bounds, trips)
+        bound if isinstance(bound, np.ndarray)
+        else np.arange(bound[0], bound[0] + t * bound[2], bound[2], dtype=np.int64)
+        for bound, t in zip(bounds, trips)
     ]
-    if len(trips) == 1:
-        spaces = [dim_values]
-    elif total <= _MAX_NEST_ELEMS:
-        spaces = [_flatten_space(dim_values)]
+    if len(trips) == 1 or total <= _MAX_NEST_ELEMS:
+        chunks = [dim_values]
     else:
         # Bound peak memory: evaluate chunks of outermost-dim slices (the
         # whole-space temporaries scale with the *product* of the dims).
         per_chunk = max(1, _MAX_NEST_ELEMS // max(1, total // trips[0]))
-        spaces = (
-            _flatten_space([dim_values[0][start : start + per_chunk], *dim_values[1:]])
+        chunks = (
+            [dim_values[0][start : start + per_chunk], *dim_values[1:]]
             for start in range(0, trips[0], per_chunk)
         )
         # Chunks commit one by one, but a NaN or a duplicate found in a
@@ -1499,19 +1500,18 @@ def _evaluate(interp, loop, env, plan: LoopPlan, bounds, trips, total):
                 "loop on the scalar tier",
             )
             return None
+    if plan.frame is not None:
+        for dims in chunks:
+            if not _run_frame(interp, env, plan, dims):
+                return None  # single chunk (see above): nothing stored yet
+        return []
+    spaces = (dims if len(dims) == 1 else _flatten_space(dims) for dims in chunks)
 
     results = []
-    slots = plan.program.slots
+    program = plan.program
     for vecs in spaces:
         n = len(vecs[0])
-        frame = plan.program.run(interp, env, vecs)
-
-        def value(v: SSAValue, frame=frame):  # bind this chunk's frame
-            slot = slots.get(v)
-            if slot is not None:
-                return frame[slot]
-            return interp.get(env, v)
-
+        value = program.lookup(program.run(interp, env, vecs), interp, env)
         if plan.deferred and not _apply_scatter(plan, value, n):
             return None  # failed proof: nothing was mutated
         for fold in plan.folds:
@@ -1553,24 +1553,84 @@ def _evaluate(interp, loop, env, plan: LoopPlan, bounds, trips, total):
     return results
 
 
+def _run_frame(interp, env, plan: LoopPlan, dims) -> bool:
+    """One chunk of a framed (scratch-cell) fold over a rectangular space:
+    the row program runs over the outer points, the fold expression over
+    outer points x fold dim by broadcasting (outer values as columns,
+    the fold dim as a row), each row folds from its own init, and the
+    epilogue runs with the readback preset to the folded values.  False
+    (a NaN min/max bail) means nothing was mutated."""
+    frame = plan.frame
+    fold = plan.folds[0]
+    outer = _flatten_space(dims[:-1]) if len(dims) > 2 else dims[:1]
+    points, t = len(outer[0]), len(dims[-1])
+    row = frame.row_program
+    frame_a = row.run(interp, env, outer)
+    row_value = row.lookup(frame_a, interp, env)
+    array = row_value(fold.acc)
+    init = _as_vector(row_value(frame.init_value), points, array.dtype)
+    if t:
+        column = _row_resolver(row, frame_a, interp, env, lambda v: v[:, None])
+        frame_i = plan.program.run(
+            interp, env, [*(o[:, None] for o in outer), dims[-1][None, :]],
+            column,
+        )
+        slot = plan.program.slots.get(fold.expr)
+        expr = frame_i[slot] if slot is not None else column(fold.expr)
+        frame_i = None  # free the gathers before the fold allocates
+        rows = np.broadcast_to(
+            np.asarray(expr).astype(array.dtype, copy=False), (points, t)
+        )
+        if _nan_bail(fold.op_name, init, rows):
+            return False
+        folded = _fold_rows(fold.op_name, init, rows)
+    else:
+        folded = init  # an empty fold dim leaves every init as it is
+    _run_epilogue(frame, interp, env, outer, row_value, folded)
+    # the scalar walk leaves the last outer point's fold in the cell
+    array[tuple(int(row_value(i)) for i in fold.cell)] = folded[-1]
+    return True
+
+
+def _row_resolver(row: VectorProgram, frame, interp, env, spread):
+    """Outer values for a program that runs below ``row``'s outer points:
+    a value the row program computed, ``spread`` over the inner space; a
+    scalar, or anything the row program only read, as it is."""
+
+    def resolve(v: SSAValue):
+        slot = row.slots.get(v)
+        if slot is None or v in row.fetched:
+            return interp.get(env, v)
+        val = frame[slot]
+        return val if np.ndim(val) == 0 else spread(val)
+
+    return resolve
+
+
+def _run_epilogue(frame: _Frame, interp, env, outer, row_value, folded):
+    """Run the epilogue over the outer points with the accumulator
+    readback preset to the folded values."""
+    readback = frame.readback.results[0] if frame.readback is not None else None
+    frame.epilogue_program.run(
+        interp, env, outer,
+        lambda v: folded if v is readback else row_value(v),
+    )
+
+
 def _run_ragged(interp, env, root_bounds, plan: LoopPlan):
     """A segmented nest: rows of the outer dim, each with its own inner
     trip count.  Stores and accumulator writebacks are all deferred past
     the runtime proofs, so a None return has mutated nothing."""
-    ragged = plan.ragged
+    ragged, frame = plan.ragged, plan.frame
     fold = plan.folds[0]
     trips_o = _trip_count(*root_bounds)
     if trips_o == 0:
         return []  # the scalar walk would do nothing either
     lb, _, step = root_bounds
     i_vec = np.arange(lb, lb + trips_o * step, step, dtype=np.int64)
-    frame_a = ragged.row_program.run(interp, env, [i_vec])
-
-    def row_value(v: SSAValue):
-        slot = ragged.row_program.slots.get(v)
-        if slot is not None:
-            return frame_a[slot]
-        return interp.get(env, v)
+    row = frame.row_program
+    frame_a = row.run(interp, env, [i_vec])
+    row_value = row.lookup(frame_a, interp, env)
 
     inner_step = row_value(ragged.bounds[2])
     if np.ndim(inner_step) != 0:
@@ -1593,7 +1653,7 @@ def _run_ragged(interp, env, root_bounds, plan: LoopPlan):
                 which,
             )
             return None
-    trips_vec = np.maximum(0, -((lb_vec - ub_vec) // inner_step))
+    trips_vec = _range_trips(lb_vec, ub_vec, inner_step)
     total = int(trips_vec.sum())
     if trips_o + total < plan.floor:
         return None  # scalar wins on constant factors
@@ -1604,8 +1664,8 @@ def _run_ragged(interp, env, root_bounds, plan: LoopPlan):
         np.asarray(v) if np.ndim(v) else int(v)
         for v in (row_value(i) for i in fold.cell)
     )
-    if ragged.init_value is not None:
-        init_rows = _as_vector(row_value(ragged.init_value), trips_o, dtype)
+    if frame.init_value is not None:
+        init_rows = _as_vector(row_value(frame.init_value), trips_o, dtype)
     else:
         init_rows = _as_vector(acc_arr[cell], trips_o, dtype)
 
@@ -1631,23 +1691,15 @@ def _run_ragged(interp, env, root_bounds, plan: LoopPlan):
             folded_all[r0:r1] = init_chunk  # empty segments keep the init
             r0 = r1
             continue
-        starts = np.cumsum(seg) - seg
         outer_flat = np.repeat(i_vec[r0:r1], seg)
-        inner_flat = (
-            np.repeat(lb_vec[r0:r1], seg)
-            + (np.arange(ctotal, dtype=np.int64) - np.repeat(starts, seg))
-            * inner_step
+        inner_flat = _concat_ranges(lb_vec[r0:r1], seg, inner_step)
+
+        resolve = _row_resolver(
+            row, frame_a, interp, env,
+            lambda val, _r0=r0, _r1=r1, _seg=seg: np.repeat(
+                val[_r0:_r1], _seg
+            ),
         )
-
-        def resolve(v: SSAValue, _r0=r0, _r1=r1, _seg=seg):
-            slot = ragged.row_program.slots.get(v)
-            if slot is not None:
-                val = frame_a[slot]
-                if np.ndim(val) == 0:
-                    return val
-                return np.repeat(val[_r0:_r1], _seg)
-            return interp.get(env, v)
-
         frame_i = plan.program.run(
             interp, env, [outer_flat, inner_flat], resolve
         )
@@ -1675,16 +1727,11 @@ def _run_ragged(interp, env, root_bounds, plan: LoopPlan):
         r0 = r1
 
     # -- every proof passed: run the epilogue and write the folds back ---------
-    def resolve_epi(v: SSAValue):
-        if ragged.readback is not None and v is ragged.readback.results[0]:
-            return folded_all
-        return row_value(v)
-
-    ragged.epilogue_program.run(interp, env, [i_vec], resolve_epi)
+    _run_epilogue(frame, interp, env, [i_vec], row_value, folded_all)
     if ragged.shared:
         # the scalar walk leaves the last row's fold in the shared cell
         acc_arr[cell] = folded_all[-1]
-    elif ragged.init_value is not None:
+    elif frame.init_value is not None:
         acc_arr[cell] = folded_all  # init store ran even for empty rows
     else:
         nz = trips_vec > 0
@@ -1722,6 +1769,21 @@ def _flatten_space(dim_values: list) -> list:
 
 def _trip_count(lb, ub, step) -> int:
     return max(0, -(-(ub - lb) // step)) if step > 0 else 0
+
+
+def _range_trips(lb_vec: np.ndarray, ub_vec: np.ndarray, step: int):
+    """Trip counts of the ranges ``[lb, ub)`` at a positive ``step``."""
+    return np.maximum(0, -((lb_vec - ub_vec) // step))
+
+
+def _concat_ranges(lb_vec: np.ndarray, counts: np.ndarray, step: int):
+    """The ranges ``lb, lb + step, ...`` (``counts`` values each)
+    concatenated in order, built from prefix sums."""
+    total = int(counts.sum())
+    starts = np.cumsum(counts) - counts
+    return np.repeat(lb_vec, counts) + (
+        np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+    ) * step
 
 
 def _fold_rows(op_name: str, init, rows: np.ndarray) -> np.ndarray:
@@ -1837,198 +1899,3 @@ def _to_python(value, ty):
     if isinstance(ty, FloatType):
         return float(value)
     return int(value)
-
-
-# ---------------------------------------------------------------------------
-# The vector program (shared by every plan)
-# ---------------------------------------------------------------------------
-#
-# The body is translated *once per loop op* into a small slot-frame
-# program (closures over integer slot indices, constants prefilled in the
-# template) and cached with the plan, so per-execution cost is just the
-# NumPy work plus one closure call per body op.
-
-
-class _VectorProgram:
-    """Compiled whole-iteration-space evaluator for one loop body.
-
-    Frame slot 0 holds the instruction tuple itself, so a run needs only
-    one template copy plus the outer-value fetches.  ``iv_slots`` holds
-    one slot per induction variable.
-    """
-
-    __slots__ = ("template", "slots", "iv_slots", "outer")
-
-    def __init__(self, template, slots, iv_slots, outer):
-        self.template = template
-        self.slots = slots
-        self.iv_slots = iv_slots
-        #: loop-invariant values fetched from the interpreter env per run
-        self.outer = outer
-
-    def run(self, interp, env, ivs, resolve=None) -> list:
-        """Evaluate over ``ivs`` (one vector per iv slot).  Outer values
-        come from the interpreter environment, or through ``resolve`` —
-        the ragged runner feeds per-row values (prologue results repeated
-        per segment, the folded accumulator preset for the epilogue
-        readback) that way."""
-        frame = self.template.copy()
-        for slot, vec in zip(self.iv_slots, ivs):
-            frame[slot] = vec
-        if resolve is None:
-            try:
-                for slot, value in self.outer:
-                    frame[slot] = env[value]
-            except KeyError:  # ``interp.get`` raises the typed error
-                for slot, value in self.outer:
-                    frame[slot] = interp.get(env, value)
-        else:
-            for slot, value in self.outer:
-                frame[slot] = resolve(value)
-        for instr in frame[0]:
-            instr(frame)
-        return frame
-
-
-class _VectorCompiler:
-    def __init__(self):
-        self.slots: dict[SSAValue, int] = {}
-        #: slot 0 holds the instruction tuple itself (frame is self-contained)
-        self.template: list = [None]
-        self.outer: list[tuple[int, SSAValue]] = []
-        self.instrs: list = []
-
-    def dst(self, value: SSAValue) -> int:
-        slot = self.slots.get(value)
-        if slot is None:
-            slot = self.slots[value] = len(self.template)
-            self.template.append(None)
-        return slot
-
-    def src(self, value: SSAValue) -> int:
-        slot = self.slots.get(value)
-        if slot is None:
-            slot = self.dst(value)
-            self.outer.append((slot, value))
-        return slot
-
-
-def _compile_vector_body(
-    ops, skip: frozenset[int], ivs
-) -> _VectorProgram:
-    """Translate the (already validated) op sequence into a vector
-    program.  ``ivs`` holds one induction-variable value per nest
-    dimension (rank-n nests gather them from several blocks)."""
-    from repro.ir.attributes import FloatAttr, IntegerAttr, StringAttr
-    from repro.ir.types import FloatType
-
-    ctx = _VectorCompiler()
-    iv_slots = tuple(ctx.dst(iv) for iv in ivs)
-
-    for op in ops:
-        name = op.name
-        if name in _SKIPPED or id(op) in skip:
-            continue
-        if name == "arith.constant":
-            attr = op.attributes["value"]
-            if isinstance(attr, IntegerAttr):
-                ctx.template[ctx.dst(op.results[0])] = attr.value
-            elif isinstance(attr, FloatAttr):
-                ctx.template[ctx.dst(op.results[0])] = (
-                    np.float32(attr.value) if attr.width == 32 else attr.value
-                )
-            continue
-        if name in _BINOPS or name in ("arith.divsi", "arith.remsi",
-                                       "arith.cmpi", "arith.cmpf"):
-            if name in _BINOPS:
-                fn = _BINOPS[name]
-            elif name == "arith.divsi":
-                fn = _trunc_divide
-            elif name == "arith.remsi":
-                fn = np.fmod  # trunc-style remainder, like math.fmod
-            else:
-                predicate = op.attributes["predicate"]
-                assert isinstance(predicate, StringAttr)
-                fn = _CMPS[predicate.value]
-            a, b = ctx.src(op.operands[0]), ctx.src(op.operands[1])
-            r = ctx.dst(op.results[0])
-
-            def instr(frame, _fn=fn, _a=a, _b=b, _r=r):
-                frame[_r] = _fn(frame[_a], frame[_b])
-            ctx.instrs.append(instr)
-            continue
-        if name == "arith.select":
-            c, t, f = (ctx.src(o) for o in op.operands)
-            r = ctx.dst(op.results[0])
-
-            def instr(frame, _c=c, _t=t, _f=f, _r=r):
-                frame[_r] = np.where(frame[_c], frame[_t], frame[_f])
-            ctx.instrs.append(instr)
-            continue
-        if name in ("arith.index_cast", "arith.extsi", "arith.trunci"):
-            # width-preserving in the reference interpreter: alias the slot
-            ctx.slots[op.results[0]] = ctx.src(op.operands[0])
-            continue
-        if name in ("arith.sitofp", "arith.fptosi", "arith.extf",
-                    "arith.truncf"):
-            if name == "arith.sitofp":
-                ty = op.results[0].type
-                dtype = (
-                    np.float32
-                    if isinstance(ty, FloatType) and ty.width == 32
-                    else np.float64
-                )
-            elif name == "arith.fptosi":
-                dtype = np.int64
-            elif name == "arith.extf":
-                dtype = np.float64
-            else:
-                dtype = np.float32
-            s = ctx.src(op.operands[0])
-            r = ctx.dst(op.results[0])
-
-            def instr(frame, _s=s, _r=r, _dtype=dtype):
-                frame[_r] = np.asarray(frame[_s]).astype(_dtype)
-            ctx.instrs.append(instr)
-            continue
-        if name in _MATH:
-            fn = _MATH[name]
-            s = ctx.src(op.operands[0])
-            r = ctx.dst(op.results[0])
-
-            def instr(frame, _fn=fn, _s=s, _r=r):
-                frame[_r] = _fn(frame[_s])
-            ctx.instrs.append(instr)
-            continue
-        if name == "memref.load":
-            m = ctx.src(op.operands[0])
-            idx = tuple(ctx.src(i) for i in op.operands[1:])
-            r = ctx.dst(op.results[0])
-            if not idx:
-                def instr(frame, _m=m, _r=r):
-                    frame[_r] = frame[_m][()]
-            elif len(idx) == 1:
-                def instr(frame, _m=m, _i=idx[0], _r=r):
-                    frame[_r] = frame[_m][frame[_i]]
-            else:
-                def instr(frame, _m=m, _idx=idx, _r=r):
-                    frame[_r] = frame[_m][tuple(frame[i] for i in _idx)]
-            ctx.instrs.append(instr)
-            continue
-        if name == "memref.store":
-            v = ctx.src(op.operands[0])
-            m = ctx.src(op.operands[1])
-            idx = tuple(ctx.src(i) for i in op.operands[2:])
-            if len(idx) == 1:
-                def instr(frame, _v=v, _m=m, _i=idx[0]):
-                    frame[_m][frame[_i]] = frame[_v]
-            else:
-                def instr(frame, _v=v, _m=m, _idx=idx):
-                    frame[_m][tuple(frame[i] for i in _idx)] = frame[_v]
-            ctx.instrs.append(instr)
-            continue
-        raise AssertionError(f"vectorizer admitted unsupported op {name}")
-
-    ctx.template[0] = tuple(ctx.instrs)
-    return _VectorProgram(ctx.template, ctx.slots, iv_slots, tuple(ctx.outer))
-

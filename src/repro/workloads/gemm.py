@@ -3,9 +3,12 @@ k-tiled accumulation loop.
 
 The offloaded region is a rank-2 ``omp.loop_nest`` over the output
 tile-free (i, j) space; each point accumulates through tiles of
-``TILE`` k-values, so the innermost loop is a rank-0 scalar recurrence
-the vectorizer folds with an ordered accumulate once a full tile's trip
-count reaches the vector threshold.
+``TILE`` k-values into the scalar ``t``, initialised from and written
+back to ``c(i, j)``.  The vectorizer runs the whole ``i / j / kk / k``
+nest as one ``nest_reduction``: the kk/k pair is one tiled dim whose
+index vector concatenates the per-tile k ranges (partial last tile
+included), and ``t`` is a scratch-cell fold, ordered along k from each
+(i, j)'s own init.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from repro.workloads.base import GalleryWorkload, WorkloadInstance, register
 
-#: k-tile edge: one full tile meets the vectorizer's 64-trip threshold.
+#: k-tile edge
 TILE = 64
 
 GEMM_SOURCE = f"""

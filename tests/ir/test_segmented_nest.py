@@ -172,3 +172,56 @@ class TestRuntimeEquivalence:
         assert any(
             "monotone" in record.message for record in caplog.records
         ), "expected a reasoned monotone bail-out in the debug log"
+
+
+def _build_triangular_scratch(n: int):
+    """y[i] = a[i,i] + sum_{j=i+1..n} a[i,j] through a scratch cell: the
+    prologue and the inner body both read ``a``."""
+    module = builtin.ModuleOp()
+    fn = func.FuncOp(
+        "f",
+        FunctionType(
+            [MemRefType(f32, [n, n]), MemRefType(f32, [n]), MemRefType(f32, [])],
+            [],
+        ),
+    )
+    module.body.add_op(fn)
+    b = Builder.at_end(fn.body)
+    lb, ub, step = _index_constants(b, 0, n, 1)
+    outer = b.insert(scf.For(lb, ub, step))
+    i = outer.induction_var
+    ob = Builder.at_end(outer.body)
+    a_arg, y_arg, s_arg = fn.body.args
+    one = ob.insert(arith.Constant.index(1)).results[0]
+    diag = ob.insert(memref.Load(a_arg, [i, i])).results[0]
+    ob.insert(memref.Store(diag, s_arg, []))
+    j_lb = ob.insert(arith.AddI(i, one)).results[0]
+    inner = ob.insert(scf.For(j_lb, ub, step))
+    ib = Builder.at_end(inner.body)
+    sv = ib.insert(memref.Load(s_arg, [])).results[0]
+    av = ib.insert(memref.Load(a_arg, [i, inner.induction_var])).results[0]
+    acc = ib.insert(arith.AddF(sv, av)).results[0]
+    ib.insert(memref.Store(acc, s_arg, []))
+    ib.insert(scf.Yield())
+    total = ob.insert(memref.Load(s_arg, [])).results[0]
+    ob.insert(memref.Store(total, y_arg, [i]))
+    ob.insert(scf.Yield())
+    b.insert(func.ReturnOp())
+    return module, outer
+
+
+def test_buffer_read_by_prologue_and_inner_body():
+    """A buffer the prologue and the inner body both read reaches the
+    inner program as itself, not spread per row like a prologue value."""
+    n = 32
+    a = np.random.default_rng(14).standard_normal((n, n)).astype(np.float32)
+    runs = []
+    for compiled, vectorize in ((True, True), (False, False)):
+        module, outer = _build_triangular_scratch(n)
+        assert loop_vector_mode(outer)[0] == "nest_segmented"
+        y = np.zeros(n, np.float32)
+        s = np.zeros((), np.float32)
+        interp = Interpreter(module, compiled=compiled, vectorize=vectorize)
+        interp.call("f", a.copy(), y, s)
+        runs.append((y.tobytes(), s.tobytes(), interp.steps))
+    assert runs[0] == runs[1]
